@@ -34,20 +34,11 @@ class InvalidSchedule(CfeasError, ValueError):
 
 
 class InvalidSpec(CfeasError, ValueError):
-    """Problem-generator parameters are out of range."""
+    """Problem-generator parameters or an instance document are malformed."""
 
 
 class InsufficientTrace(CfeasError, ValueError):
     """Trace too short (or too noisy) for convergence-order estimation."""
-
-
-class NumericalFailure(CfeasError, RuntimeError):
-    """Wraps an upstream numerical error with the iteration it occurred at."""
-
-    def __init__(self, iteration, cause):
-        super().__init__(f"iteration {iteration}: {cause}")
-        self.iteration = iteration
-        self.cause = cause
 
 
 class EmptyInput(CfeasError, ValueError):

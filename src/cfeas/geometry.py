@@ -11,7 +11,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenFailure, NonconvergedProjection
+from .errors import DimensionMismatch, EigenFailure, InvalidSpec, NonconvergedProjection
 
 # dist(z, C) <= MEMBERSHIP_RTOL * (1 + ||z||) counts as membership
 MEMBERSHIP_RTOL = 1e-12
@@ -301,12 +301,27 @@ class ProblemPair:
             raise DimensionMismatch("X and Y must share ambient dimension")
         if self.z0.shape[0] != self.X.dim:
             raise DimensionMismatch("z0 dimension does not match the sets")
+        if not np.all(np.isfinite(self.z0)):
+            raise InvalidSpec("z0 has non-finite entries")
 
     @property
     def dim(self) -> int:
         return self.X.dim
 
 
+def stopping_gap(pair: ProblemPair, z):
+    """(gap, P_X z, P_Y z) with gap = max{dist(z, X), dist(z, Y)}.
+
+    The gap is the stopping merit, computed as `distance` does; the two
+    projections are returned so that the next step can reuse one of them.
+    """
+    z = as_point(z)
+    px = project(pair.X, z)
+    py = project(pair.Y, z)
+    delta = max(float(np.linalg.norm(z - px)), float(np.linalg.norm(z - py)))
+    return delta, px, py
+
+
 def gap(pair: ProblemPair, z) -> float:
     """Feasibility gap max{dist(z, X), dist(z, Y)}: the stopping merit."""
-    return max(distance(pair.X, z), distance(pair.Y, z))
+    return stopping_gap(pair, z)[0]

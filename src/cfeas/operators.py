@@ -66,17 +66,23 @@ KERNEL_DEEP = KernelSpec(("Y", "X", "Y"))
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    t_point: np.ndarray
-    n_point: np.ndarray
     centralization_ip: float
     algorithmic_projections: int
     strictly_centralized: bool
 
 
-def apply_kernel(spec: KernelSpec, pair: ProblemPair, z):
-    """Apply the kernel's projection composition; returns (point, count)."""
-    out = as_point(z)
-    for tok in spec.tokens:
+def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
+    """Apply the kernel's projection composition; returns (point, count).
+
+    `first`, if given, is the projection of z onto the set of the innermost
+    token, already computed by the caller; only the remaining tokens are then
+    applied.  The count is logical: len(spec) either way.
+    """
+    if first is None:
+        out, tokens = as_point(z), spec.tokens
+    else:
+        out, tokens = as_point(first), spec.tokens[1:]
+    for tok in tokens:
         out = project(pair.X if tok == "X" else pair.Y, out)
     return out, len(spec.tokens)
 
@@ -118,14 +124,18 @@ def circumcentered_step(
     spec: KernelSpec,
     membership_tol: float = MEMBERSHIP_RTOL,
     strict_tol: float = STEP_COSINE_TOL,
+    first=None,
 ):
     """One solver step: kernel, centralizer, circumcentered reflections.
 
-    Costs len(spec) + 2 projections: the kernel plus P_X(t) and P_Y(n).  The
+    Counts len(spec) + 2 projections: the kernel plus P_X(t) and P_Y(n).  The
+    count is logical: when `first` (z projected onto the set of the kernel's
+    innermost token) is handed in, as the solver does with the projection its
+    stopping gap already made, the step evaluates one projection fewer.  The
     X-reflection of n reuses px_t.  When n is not strictly centralized it lies
     in Y (up to tolerance) and the step reduces to P_X n = px_t.
     """
-    t_point, kernel_count = apply_kernel(spec, pair, z)
+    t_point, kernel_count = apply_kernel(spec, pair, z, first)
     n_point, px_t = centralize(pair, t_point, alpha)
     py_n = project(pair.Y, n_point)
     dx = n_point - px_t
@@ -145,8 +155,6 @@ def circumcentered_step(
             # reflections numerically collinear with n: fall back to P_X n
             nxt = px_t.copy()
     diag = StepDiagnostics(
-        t_point=t_point,
-        n_point=n_point,
         centralization_ip=ip,
         algorithmic_projections=kernel_count + 2,
         strictly_centralized=strict,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -23,12 +24,9 @@ from .geometry import (
     PsdCone,
     SetDescriptor,
 )
+from .sampling import make_rng
 
 DEFAULT_TANGENCY_GAP = 1e-3
-
-
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> ProblemPair:
@@ -49,7 +47,7 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
         raise InvalidSpec(f"need 0 < rank < n, got rank={r}, n={n}")
     if not 0.0 < obs_frac <= 1.0:
         raise InvalidSpec(f"obs_frac must lie in (0, 1], got {obs_frac}")
-    rng = _rng(seed)
+    rng = make_rng(seed)
     b = rng.standard_normal((n, r))
     a = b @ b.T
     target = math.ceil(obs_frac * n * n)
@@ -99,7 +97,7 @@ def gen_ellipsoids(
         raise InvalidSpec(f"tangency_gap must lie in (0, 1), got {tangency_gap}")
     if n < 1:
         raise InvalidSpec("dimension must be >= 1")
-    rng = _rng(seed)
+    rng = make_rng(seed)
     d1 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
     d2 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
     c1 = np.zeros(n)
@@ -136,7 +134,7 @@ def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
         raise InvalidSpec(f"theta must lie in (0, pi/2), got {theta}")
     if n < 2:
         raise InvalidSpec("wedge needs dimension >= 2")
-    rng = _rng(seed)
+    rng = make_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     u1, u2 = basis[:, 0], basis[:, 1]
     s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
@@ -197,21 +195,52 @@ def _set_to_json(set_: SetDescriptor) -> dict:
     raise TypeError(f"unsupported set descriptor {type(set_).__name__}")
 
 
-def _set_from_json(doc: dict) -> SetDescriptor:
-    variant = doc["variant"]
-    if variant == "halfspace":
-        return Halfspace(doc["normal"], doc["offset"])
-    if variant == "box":
-        return Box(doc["lo"], doc["hi"])
-    if variant == "ball":
-        return Ball(doc["center"], doc["radius"])
-    if variant == "ellipsoid":
-        return Ellipsoid(doc["center"], doc["diag"])
-    if variant == "psd_cone":
-        return PsdCone(doc["order"])
-    if variant == "entry_mask":
-        return EntryMask(doc["order"], doc["rows"], doc["cols"], doc["values"])
-    raise InvalidSpec(f"unknown set variant {variant!r}")
+def _vector(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+# variant -> (descriptor, its fields in constructor order with their readers)
+_SET_VARIANTS = {
+    "halfspace": (Halfspace, (("normal", _vector), ("offset", float))),
+    "box": (Box, (("lo", _vector), ("hi", _vector))),
+    "ball": (Ball, (("center", _vector), ("radius", float))),
+    "ellipsoid": (Ellipsoid, (("center", _vector), ("diag", _vector))),
+    "psd_cone": (PsdCone, (("order", operator.index),)),
+    "entry_mask": (
+        EntryMask,
+        (("order", operator.index), ("rows", _vector), ("cols", _vector), ("values", _vector)),
+    ),
+}
+
+
+def _field(doc, name: str, key: str, read=None):
+    """doc[key] passed through read; InvalidSpec naming `name` and the field."""
+    try:
+        value = doc[key]
+    except KeyError:
+        raise InvalidSpec(f"{name}: missing field {key!r}") from None
+    except TypeError:
+        raise InvalidSpec(f"{name} must be a JSON object") from None
+    if read is None:
+        return value
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidSpec(f"{name} field {key!r}: {exc}") from None
+
+
+def _set_from_json(doc: dict, name: str) -> SetDescriptor:
+    variant = _field(doc, name, "variant")
+    try:
+        cls, fields = _SET_VARIANTS[variant]
+    except (KeyError, TypeError):
+        raise InvalidSpec(f"{name}: unknown set variant {variant!r}") from None
+    name = f"{name} ({variant})"
+    args = [_field(doc, name, key, read) for key, read in fields]
+    try:
+        return cls(*args)
+    except ValueError as exc:
+        raise InvalidSpec(f"{name}: {exc}") from None
 
 
 def pair_to_json(pair: ProblemPair) -> dict:
@@ -226,11 +255,14 @@ def pair_to_json(pair: ProblemPair) -> dict:
 
 
 def pair_from_json(doc: dict) -> ProblemPair:
+    """Inverse of pair_to_json; a malformed document raises InvalidSpec."""
     return ProblemPair(
-        X=_set_from_json(doc["X"]),
-        Y=_set_from_json(doc["Y"]),
-        z0=np.asarray(doc["z0"], dtype=float),
-        s_ref=np.asarray(doc["s_ref"], dtype=float) if doc.get("s_ref") is not None else None,
+        X=_set_from_json(_field(doc, "instance", "X"), "set X"),
+        Y=_set_from_json(_field(doc, "instance", "Y"), "set Y"),
+        z0=_field(doc, "instance", "z0", _vector),
+        s_ref=_field(doc, "instance", "s_ref", _vector)
+        if doc.get("s_ref") is not None
+        else None,
         metadata=doc.get("metadata", {}),
     )
 
@@ -242,4 +274,8 @@ def save_pair(pair: ProblemPair, path) -> None:
 
 def load_pair(path) -> ProblemPair:
     with open(path) as fh:
-        return pair_from_json(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"instance {path}: not JSON ({exc})") from None
+    return pair_from_json(doc)

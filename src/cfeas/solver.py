@@ -16,7 +16,14 @@ from .errors import (
     InvalidSchedule,
     NonconvergedProjection,
 )
-from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, distance, project
+from .geometry import (
+    MEMBERSHIP_RTOL,
+    ProblemPair,
+    as_point,
+    distance,  # noqa: F401  not called here; perfbench/tracer.py wraps this name
+    project,
+    stopping_gap,
+)
 from .operators import (
     KERNEL_STANDARD,
     STEP_COSINE_TOL,
@@ -141,8 +148,12 @@ class SolveTrace:
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """Iterate until the feasibility gap drops to eps or the cap is reached.
 
-    The stopping gap uses two fresh diagnostic projections per iteration,
-    counted separately from the algorithmic projections of the step itself.
+    The stopping gap at each iterate projects onto both sets; the next step
+    reuses the projection that matches its kernel's innermost token instead of
+    computing it again.  The counters are logical: `cum_proj_alg` adds
+    len(kernel) + 2 per step and `cum_proj_diag` adds 2 per gap, so the one
+    projection per iteration that the two share is counted in both, and the
+    projections actually evaluated are cum_proj_alg + cum_proj_diag - k.
     """
     if cfg.method == "map":
         return solve_map(pair, cfg)
@@ -170,7 +181,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             )
         )
 
-    delta = max(distance(pair.X, z), distance(pair.Y, z))
+    delta, px, py = stopping_gap(pair, z)
     cum_diag += 2
     snapshot(0, delta, math.nan, math.nan)
     if delta <= cfg.eps:
@@ -179,6 +190,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     status = STATUS_MAX_ITER
     failure = None
     iterations = cfg.max_iter
+    lead_x = cfg.kernel.tokens[0] == "X"
     for k in range(cfg.max_iter):
         alpha = schedule_value(cfg.schedule, k)
         try:
@@ -189,9 +201,10 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
                 cfg.kernel,
                 membership_tol=cfg.membership_tol,
                 strict_tol=cfg.strict_tol,
+                first=px if lead_x else py,
             )
             cum_alg += diag.algorithmic_projections
-            delta = max(distance(pair.X, z), distance(pair.Y, z))
+            delta, px, py = stopping_gap(pair, z)
             cum_diag += 2
         except (NonconvergedProjection, EigenFailure, DegenerateCircumcenter) as exc:
             status = STATUS_NUMERICAL_FAILURE
@@ -209,7 +222,11 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
 
 
 def solve_map(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
-    """Alternating-projections baseline z_{k+1} = P_X(P_Y(z_k))."""
+    """Alternating-projections baseline z_{k+1} = P_X(P_Y(z_k)).
+
+    P_Y z_k is taken from the stopping gap at z_k; the counters are logical,
+    as in `solve`.
+    """
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
     iterates: Optional[List[np.ndarray]] = [z.copy()] if cfg.record_iterates else None
@@ -234,7 +251,7 @@ def solve_map(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             )
         )
 
-    delta = max(distance(pair.X, z), distance(pair.Y, z))
+    delta, _, py = stopping_gap(pair, z)
     cum_diag += 2
     snapshot(0, delta)
     if delta <= cfg.eps:
@@ -245,9 +262,9 @@ def solve_map(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     iterations = cfg.max_iter
     for k in range(cfg.max_iter):
         try:
-            z = project(pair.X, project(pair.Y, z))
+            z = project(pair.X, py)
             cum_alg += 2
-            delta = max(distance(pair.X, z), distance(pair.Y, z))
+            delta, _, py = stopping_gap(pair, z)
             cum_diag += 2
         except (NonconvergedProjection, EigenFailure) as exc:
             status = STATUS_NUMERICAL_FAILURE

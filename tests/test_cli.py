@@ -6,6 +6,7 @@ import os
 import pytest
 
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
+from cfeas.problems import gen_halfspace_wedge, pair_to_json
 
 
 def test_gen_and_solve_instance(tmp_path, capsys):
@@ -184,3 +185,53 @@ def test_oracle_check_command(capsys):
     assert rc == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["ok"] is True
+
+
+def _write_instance(tmp_path, edit):
+    """Write a generated wedge instance's document, changed by `edit`."""
+    doc = pair_to_json(gen_halfspace_wedge(4, 0.5, seed=0))
+    edit(doc)
+    path = str(tmp_path / "inst.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    return path
+
+
+def _ball_without_radius(doc):
+    doc["X"] = {"variant": "ball", "center": [0.0, 0.0, 0.0, 0.0]}
+
+
+def _non_numeric_z0(doc):
+    doc["z0"] = ["a", "b", "c", "d"]
+
+
+def _nan_z0(doc):
+    doc["z0"][1] = float("nan")
+
+
+@pytest.mark.parametrize(
+    "edit,words",
+    [
+        (_ball_without_radius, ["set X (ball)", "'radius'"]),
+        (_non_numeric_z0, ["instance", "'z0'"]),
+        (_nan_z0, ["z0", "non-finite"]),
+    ],
+    ids=["missing_field", "wrong_type", "nan_z0"],
+)
+def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
+    rc = main(["solve", "--instance", _write_instance(tmp_path, edit), "--eps", "1e-8"])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:")
+    for word in words:
+        assert word in err
+
+
+def test_solve_instance_that_is_not_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"X": {"variant": "ball",')
+    rc = main(["solve", "--instance", str(path)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert err.startswith("usage error:") and "not JSON" in err

@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
+import cfeas.geometry
 from cfeas.errors import InsufficientTrace, InvalidSchedule
-from cfeas.geometry import Ball, Halfspace, ProblemPair, distance
-from cfeas.operators import KERNEL_BASIC
-from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge
+from cfeas.geometry import Ball, EntryMask, Halfspace, ProblemPair, distance, project
+from cfeas.operators import KERNEL_BASIC, KernelSpec, circumcentered_step
+from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, generate
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
     CLASS_LINEAR,
@@ -200,3 +201,114 @@ def test_trace_delta_reaches_eps():
     assert trace.final_delta <= 1e-10
     assert max(distance(pair.X, trace.final_point),
                distance(pair.Y, trace.final_point)) <= 1e-10
+
+
+def _reference_solve(pair, cfg):
+    """Both drivers with every projection computed afresh: the stopping gap
+    from `distance`, each step without a handed-in projection."""
+    z = pair.z0.copy()
+    deltas = [max(distance(pair.X, z), distance(pair.Y, z))]
+    alg, diag = 0, 2
+    status, iterations = STATUS_MAX_ITER, cfg.max_iter
+    if deltas[0] <= cfg.eps:
+        return deltas, alg, diag, STATUS_CONVERGED, 0, z
+    for k in range(cfg.max_iter):
+        if cfg.method == "map":
+            z = project(pair.X, project(pair.Y, z))
+            alg += 2
+        else:
+            alpha = schedule_value(cfg.schedule, k)
+            z, step = circumcentered_step(
+                pair,
+                z,
+                alpha,
+                cfg.kernel,
+                membership_tol=cfg.membership_tol,
+                strict_tol=cfg.strict_tol,
+            )
+            alg += step.algorithmic_projections
+        deltas.append(max(distance(pair.X, z), distance(pair.Y, z)))
+        diag += 2
+        if deltas[-1] <= cfg.eps:
+            status, iterations = STATUS_CONVERGED, k + 1
+            break
+    return deltas, alg, diag, status, iterations, z
+
+
+_INSTANCES = {
+    "ellipsoids": (("ellipsoids", 1, {"n": 30, "cond": 10.0}), 1e-10),
+    "matrix_completion": (("matrix_completion", 2, {"n": 12, "rank": 2, "obs_frac": 0.5}), 1e-6),
+    "wedge": (("halfspace_wedge", 3, {"n": 10, "theta": 0.5}), 1e-12),
+}
+
+_CASES = [
+    pytest.param(
+        name,
+        {"kernel": KernelSpec.from_string(kernel), "schedule": schedule},
+        id=f"{name}-{kernel}-{type(schedule).__name__}",
+    )
+    for name in _INSTANCES
+    for kernel in ("Y", "XY", "YXY", "XYXY")
+    for schedule in (Constant(0.5), Vanishing())
+] + [
+    pytest.param(name, {"method": "map"}, id=f"{name}-map")
+    for name in ("ellipsoids", "matrix_completion")
+]
+
+
+@pytest.mark.parametrize("instance,options", _CASES)
+def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
+    (family, seed, params), eps = _INSTANCES[instance]
+    pair = generate(family, seed, **params)
+    cfg = SolverConfig(eps=eps, max_iter=2000, **options)
+    trace = solve(pair, cfg)
+    deltas, alg, diag, status, iterations, z = _reference_solve(pair, cfg)
+    assert trace.deltas.tolist() == deltas
+    assert trace.records[-1].cum_proj_alg == alg
+    assert trace.records[-1].cum_proj_diag == diag
+    assert (trace.status, trace.iterations) == (status, iterations)
+    assert np.array_equal(trace.final_point, z)
+
+
+def _count_projections(monkeypatch):
+    counts = {"eigh": 0, "ellipsoid": 0, "mask": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        cfeas.geometry, "project_psd", counted("eigh", cfeas.geometry.project_psd)
+    )
+    monkeypatch.setattr(
+        cfeas.geometry,
+        "project_ellipsoid_multiplier",
+        counted("ellipsoid", cfeas.geometry.project_ellipsoid_multiplier),
+    )
+    monkeypatch.setattr(EntryMask, "_project", counted("mask", EntryMask._project))
+    return counts
+
+
+def test_one_projection_per_iteration_is_shared(monkeypatch):
+    """The counters are logical: the gap's projection that the next step
+    reuses is counted in both, and evaluated once."""
+    pair = generate("matrix_completion", 2, n=12, rank=2, obs_frac=0.5)
+    counts = _count_projections(monkeypatch)
+    trace = solve(pair, SolverConfig(eps=1e-3))
+    last = trace.records[-1]
+    assert trace.status == STATUS_CONVERGED and trace.iterations > 10
+    assert sum(counts.values()) == last.cum_proj_alg + last.cum_proj_diag - trace.iterations
+    # XY: P_X in the centralizer and in the gap; the kernel's P_X is the gap's
+    assert counts["eigh"] == 2 * trace.iterations + 1
+
+    pair = generate("ellipsoids", 2, n=20, cond=1.5, tangency_gap=1e-3)
+    counts = _count_projections(monkeypatch)
+    trace = solve(pair, SolverConfig(method="map", eps=1e-10))
+    last = trace.records[-1]
+    assert trace.status == STATUS_CONVERGED and trace.iterations > 100
+    # MAP: P_Y z from the gap, then P_X of it, then the gap at the new point
+    assert counts["ellipsoid"] == 3 * trace.iterations + 2
+    assert counts["ellipsoid"] == last.cum_proj_alg + last.cum_proj_diag - trace.iterations
