@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -15,7 +16,7 @@ from .circumcentering import circumcenter, pcrm
 from .errors import EmptyInput, InvalidSpec
 from .geometry import Ellipsoid, PsdCone, distance, project, project_psd
 from .operators import KernelSpec, centralize
-from .problems import generate
+from .problems import GENERATORS, generate, generator_args
 from .solver import (
     STATUS_NUMERICAL_FAILURE,
     Constant,
@@ -45,15 +46,12 @@ CONFIG_SCHEMA = {
             "type": "object",
             "required": ["family"],
             "properties": {
-                "family": {
-                    "enum": ["matrix_completion", "ellipsoids", "halfspace_wedge"]
+                "family": {"enum": list(GENERATORS)},
+                **{
+                    key: {"type": "integer" if read is operator.index else "number"}
+                    for _, fields in GENERATORS.values()
+                    for key, read, _ in fields
                 },
-                "n": {"type": "integer"},
-                "rank": {"type": "integer"},
-                "obs_frac": {"type": "number"},
-                "cond": {"type": "number"},
-                "tangency_gap": {"type": "number"},
-                "theta": {"type": "number"},
             },
         },
         "methods": {
@@ -94,7 +92,7 @@ def schedule_from_json(doc: Optional[dict]):
     if kind == "vanishing":
         return Vanishing()
     if kind == "table":
-        return Table(tuple(doc["values"]))
+        return Table(tuple(doc.get("values", ())))
     raise InvalidSpec(f"unknown schedule kind {kind!r}")
 
 
@@ -141,13 +139,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        eps = float(doc.get("eps", 1e-8))
-        max_iter = int(doc.get("max_iter", 100_000))
-        methods = [MethodSpec.from_json(m, eps, max_iter) for m in doc["methods"]]
+        """Build a config, checked once here: a malformed document, an unknown
+        family or method, a missing generator parameter, a bad kernel or
+        schedule raise InvalidSpec instead of failing every cell later."""
+        try:
+            eps = float(doc.get("eps", 1e-8))
+            max_iter = int(doc.get("max_iter", 100_000))
+            generator = dict(doc["generator"])
+            family = generator["family"]
+            methods = [MethodSpec.from_json(m, eps, max_iter) for m in doc["methods"]]
+            seeds = [int(s) for s in doc["seeds"]]
+            generator_args(family, generator)
+        except KeyError as exc:
+            raise InvalidSpec(f"bench config: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise InvalidSpec(f"bench config: {exc}") from None
         return cls(
-            generator=dict(doc["generator"]),
+            generator=generator,
             methods=methods,
-            seeds=[int(s) for s in doc["seeds"]],
+            seeds=seeds,
             eps=eps,
             max_iter=max_iter,
             output_dir=doc.get("output_dir", "bench_out"),

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -17,27 +16,16 @@ from .bench import (
 )
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
-from .problems import generate, load_pair, save_pair
-from .solver import (
-    STATUS_CONVERGED,
-    IterationRecord,
-    SolveTrace,
-    SolverConfig,
-    solve,
-    write_trace_csv,
-)
+from .problems import GENERATORS, generate, load_pair, save_pair
+from .solver import STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _add_generator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--family",
-        choices=["matrix_completion", "ellipsoids", "halfspace_wedge"],
-        required=True,
-    )
+def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    p.add_argument("--family", choices=list(GENERATORS), required=required)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--rank", type=int, default=3)
     p.add_argument("--obs-frac", type=float, default=0.4)
@@ -48,11 +36,8 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
 
 
 def _generator_params(args) -> dict:
-    if args.family == "matrix_completion":
-        return {"n": args.n, "rank": args.rank, "obs_frac": args.obs_frac}
-    if args.family == "ellipsoids":
-        return {"n": args.n, "cond": args.cond, "tangency_gap": args.tangency_gap}
-    return {"n": args.n, "theta": args.theta}
+    _, fields = GENERATORS[args.family]
+    return {key: getattr(args, key) for key, _, _ in fields}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,14 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     slv = sub.add_parser("solve", help="solve one instance and dump its trace")
     slv.add_argument("--instance", help="instance JSON from `gen`")
-    slv.add_argument("--family", choices=["matrix_completion", "ellipsoids", "halfspace_wedge"])
-    slv.add_argument("--n", type=int, default=30)
-    slv.add_argument("--rank", type=int, default=3)
-    slv.add_argument("--obs-frac", type=float, default=0.4)
-    slv.add_argument("--cond", type=float, default=20.0)
-    slv.add_argument("--tangency-gap", type=float, default=1e-3)
-    slv.add_argument("--theta", type=float, default=1.0)
-    slv.add_argument("--seed", type=int, default=0)
+    _add_generator_args(slv, required=False)
     slv.add_argument("--method", choices=["crm", "map"], default="crm")
     slv.add_argument("--kernel", default="XY")
     slv.add_argument(
@@ -167,7 +145,12 @@ def _cmd_bench(args) -> int:
         print("bench needs --config (or --print-schema)", file=sys.stderr)
         return EXIT_USAGE
     with open(args.config) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InvalidSpec(f"bench config {args.config}: not JSON ({exc})") from None
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"bench config {args.config}: not a JSON object")
     if args.seed_range:
         doc["seeds"] = _parse_seed_range(args.seed_range)
     if args.eps is not None:
@@ -193,32 +176,11 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    traces = {}
-    for name in sorted(os.listdir(args.run_dir)):
-        if not (name.startswith("trace_") and name.endswith(".csv")):
-            continue
-        label = name[len("trace_"):-len(".csv")]
-        records = []
-        with open(os.path.join(args.run_dir, name)) as fh:
-            for row in csv.DictReader(fh):
-                records.append(
-                    IterationRecord(
-                        k=int(row["k"]),
-                        delta=float(row["delta"]),
-                        dist_sref=float(row["dist_sref"]) if row["dist_sref"] else None,
-                        centralization_ip=float("nan"),
-                        alpha=float(row["alpha"]) if row["alpha"] else float("nan"),
-                        cum_proj_alg=int(row["cum_proj_alg"]),
-                        cum_proj_diag=int(row["cum_proj_diag"]),
-                        wall_ns=int(row["wall_ns"]),
-                    )
-                )
-        traces[label] = SolveTrace(
-            records=records,
-            status="unknown",
-            final_point=None,
-            iterations=records[-1].k if records else 0,
-        )
+    traces = {
+        name[len("trace_"):-len(".csv")]: read_trace_csv(os.path.join(args.run_dir, name))
+        for name in sorted(os.listdir(args.run_dir))
+        if name.startswith("trace_") and name.endswith(".csv")
+    }
     if not traces:
         print(f"no trace_*.csv files in {args.run_dir}", file=sys.stderr)
         return EXIT_RUN_FAILURE

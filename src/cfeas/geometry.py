@@ -6,6 +6,7 @@ matrix embedding stays consistent after every operation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -116,6 +117,9 @@ class Ellipsoid:
             raise ValueError("ellipsoid center and diag must share length")
         if np.any(self.diag <= 0.0) or not np.all(np.isfinite(self.diag)):
             raise ValueError("ellipsoid axis scales must be positive and finite")
+        # extreme axis scales bracket the projection's multiplier
+        object.__setattr__(self, "d_min", float(np.min(self.diag)))
+        object.__setattr__(self, "d_max", float(np.max(self.diag)))
 
     @property
     def dim(self) -> int:
@@ -190,10 +194,22 @@ SetDescriptor = Union[Halfspace, Box, Ball, Ellipsoid, PsdCone, EntryMask]
 def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     """Projection onto an ellipsoid with its Lagrange multiplier.
 
-    The multiplier solves the scalar secular equation
-    phi(lam) = sum_i d_i u_i^2 / (1 + lam d_i)^2 - 1 = 0 with u = z - center;
-    phi is strictly decreasing on [0, inf), so a safeguarded Newton iteration
-    with bisection fallback always converges.
+    With u = z - center and w_i = 1 / (1 + lam d_i), the projection is
+    center + u w and the multiplier solves the secular equation
+    S(lam) = sum_i d_i u_i^2 w_i^2 = 1, S decreasing on [0, inf).
+
+    Bracket: with s = S(0), s / (1 + lam d_max)^2 <= S(lam) <= s / (1 + lam
+    d_min)^2, so the root lies in [(sqrt(s) - 1) / d_max, (sqrt(s) - 1) / d_min].
+
+    Newton runs on g(lam) = S(lam)^(-1/2) - 1, started at the lower end, with
+    the step lam + (S^(3/2) - S) / T, T = sum_i d_i^2 u_i^2 w_i^3.  In the
+    variables mu_i = 1 / d_i, S = sum_i (u_i / sqrt(d_i))^2 / (lam + mu_i)^2
+    is the trust-region secular function, whose reciprocal square root is
+    concave and increasing for lam > -min(mu) (More & Sorensen, 1983).  A
+    tangent of a concave function lies above it, so each Newton step from the
+    left of the root stays left of it and climbs monotonically; on a ball
+    (d_min = d_max) the first iterate is the root.  Rounding that breaks this
+    is caught by the bisection safeguard inside the bracket.
     """
     z = as_point(z)
     if z.shape[0] != e.dim:
@@ -201,41 +217,32 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     d = e.diag
     u = z - e.center
     du2 = d * u * u
-    if float(np.sum(du2)) <= 1.0:
+    s = float(du2.sum())
+    if s <= 1.0:
         return z.copy(), 0.0
 
-    def phi(lam: float) -> float:
-        w = 1.0 + lam * d
-        return float(np.sum(du2 / (w * w))) - 1.0
-
-    lo, hi = 0.0, 1.0
-    for _ in range(_ELLIPSOID_MAX_ITER):
-        if phi(hi) < 0.0:
-            break
-        lo = hi
-        hi *= 2.0
-    else:
-        raise NonconvergedProjection("failed to bracket ellipsoid multiplier")
-
+    root = math.sqrt(s) - 1.0
+    lo, hi = root / e.d_max, root / e.d_min
+    d2u2 = du2 * d
     lam = lo
     for _ in range(_ELLIPSOID_MAX_ITER):
-        w = 1.0 + lam * d
-        r = float(np.sum(du2 / (w * w))) - 1.0
-        if abs(r) <= _ELLIPSOID_RESIDUAL_TOL:
+        w = 1.0 / (1.0 + lam * d)
+        w2 = w * w
+        S = float(du2 @ w2)
+        if abs(S - 1.0) <= _ELLIPSOID_RESIDUAL_TOL:
             break
-        if r > 0.0:
+        if S > 1.0:
             lo = lam
         else:
             hi = lam
-        dr = -2.0 * float(np.sum(du2 * d / (w * w * w)))
-        step = lam - r / dr
+        T = float(d2u2 @ (w2 * w))
+        step = lam + (S * math.sqrt(S) - S) / T
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     else:
         raise NonconvergedProjection(
             f"ellipsoid projection residual above {_ELLIPSOID_RESIDUAL_TOL}"
         )
-    x = e.center + u / (1.0 + lam * d)
-    return x, lam
+    return e.center + u * w, lam
 
 
 def project_psd(z, order: int) -> np.ndarray:
@@ -263,7 +270,7 @@ def project(set_: SetDescriptor, z) -> np.ndarray:
             f"point dim {z.shape[0]} != set dim {set_.dim} ({type(set_).__name__})"
         )
     out = set_._project(z)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NonconvergedProjection("projection produced non-finite entries")
     return out
 

@@ -156,21 +156,50 @@ def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
     )
 
 
+# family -> (generator, its parameters in call order, each with its reader
+# and its default, None if the parameter is required); the seed comes last
+GENERATORS = {
+    "matrix_completion": (
+        gen_matrix_completion,
+        (("n", operator.index, None), ("rank", operator.index, None), ("obs_frac", float, None)),
+    ),
+    "ellipsoids": (
+        gen_ellipsoids,
+        (
+            ("n", operator.index, None),
+            ("cond", float, None),
+            ("tangency_gap", float, DEFAULT_TANGENCY_GAP),
+        ),
+    ),
+    "halfspace_wedge": (gen_halfspace_wedge, (("n", operator.index, None), ("theta", float, None))),
+}
+_FAMILY_ALIASES = {"matrix-completion": "matrix_completion", "wedge": "halfspace_wedge"}
+
+
+def _generator(family: str):
+    try:
+        return GENERATORS[_FAMILY_ALIASES.get(family, family)]
+    except (KeyError, TypeError):
+        raise InvalidSpec(f"unknown family {family!r}") from None
+
+
+def generator_args(family: str, params: dict) -> list:
+    """The family's parameters from `params` in call order, defaults filled in.
+
+    Parameters the family does not take are ignored; an unknown family, a
+    missing required parameter or one of the wrong type raises InvalidSpec.
+    """
+    _, fields = _generator(family)
+    name = f"{family} generator"
+    return [
+        _field(params, name, key, read) if default is None or key in params else default
+        for key, read, default in fields
+    ]
+
+
 def generate(family: str, seed: int, **params) -> ProblemPair:
-    if family in ("matrix_completion", "matrix-completion"):
-        return gen_matrix_completion(
-            params["n"], params["rank"], params["obs_frac"], seed
-        )
-    if family == "ellipsoids":
-        return gen_ellipsoids(
-            params["n"],
-            params["cond"],
-            params.get("tangency_gap", DEFAULT_TANGENCY_GAP),
-            seed,
-        )
-    if family in ("halfspace_wedge", "wedge"):
-        return gen_halfspace_wedge(params["n"], params["theta"], seed)
-    raise InvalidSpec(f"unknown family {family!r}")
+    gen, _ = _generator(family)
+    return gen(*generator_args(family, params), seed)
 
 
 def _set_to_json(set_: SetDescriptor) -> dict:

@@ -383,3 +383,32 @@ def write_trace_csv(trace: SolveTrace, path) -> None:
                     r.wall_ns,
                 ]
             )
+
+
+def read_trace_csv(path) -> SolveTrace:
+    """Inverse of write_trace_csv for the columns it writes.
+
+    The CSV does not hold the centralization inner product, the status or the
+    final point: they read back as NaN, "unknown" and None.
+    """
+    records = []
+    with open(path, newline="") as fh:
+        for row in csv.DictReader(fh):
+            records.append(
+                IterationRecord(
+                    k=int(row["k"]),
+                    delta=float(row["delta"]),
+                    dist_sref=float(row["dist_sref"]) if row["dist_sref"] else None,
+                    centralization_ip=math.nan,
+                    alpha=float(row["alpha"]) if row["alpha"] else math.nan,
+                    cum_proj_alg=int(row["cum_proj_alg"]),
+                    cum_proj_diag=int(row["cum_proj_diag"]),
+                    wall_ns=int(row["wall_ns"]),
+                )
+            )
+    return SolveTrace(
+        records=records,
+        status="unknown",
+        final_point=None,
+        iterations=records[-1].k if records else 0,
+    )

@@ -235,3 +235,42 @@ def test_solve_instance_that_is_not_json_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
     assert err.startswith("usage error:") and "not JSON" in err
+
+
+def _bench_config(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    return str(path)
+
+
+_ELLIPSOIDS_WITHOUT_COND = {
+    "generator": {"family": "ellipsoids", "n": 12, "tangency_gap": 0.05},
+    "methods": [{"name": "crm"}],
+    "seeds": [0, 1, 2],
+}
+_BOGUS_METHOD = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m", "method": "bogus"}],
+    "seeds": [0],
+}
+
+
+@pytest.mark.parametrize(
+    "text,words",
+    [
+        (json.dumps(_ELLIPSOIDS_WITHOUT_COND), ["ellipsoids generator", "'cond'"]),
+        (json.dumps(_BOGUS_METHOD), ["unknown method", "'bogus'"]),
+        ('{"generator": {"family": "ellipsoids",', ["not JSON"]),
+    ],
+    ids=["missing_generator_parameter", "unknown_method", "not_json"],
+)
+def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
+    out = tmp_path / "run"
+    rc = main(["bench", "--config", _bench_config(tmp_path, text), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:")
+    for word in words:
+        assert word in err
+    assert not out.exists()  # rejected at load, before any cell runs

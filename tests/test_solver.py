@@ -16,6 +16,7 @@ from cfeas.solver import (
     CLASS_SUPERLINEAR,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
+    TRACE_COLUMNS,
     Constant,
     SolverConfig,
     Table,
@@ -23,6 +24,7 @@ from cfeas.solver import (
     ccrm_config,
     estimate_rate,
     estimate_rate_from_merits,
+    read_trace_csv,
     schedule_value,
     solve,
     solve_map,
@@ -192,6 +194,30 @@ def test_trace_csv_roundtrip(tmp_path):
     for row, rec in zip(rows, trace.records):
         assert int(row["k"]) == rec.k
         assert float(row["delta"]) == rec.delta
+
+
+def test_read_trace_csv_inverts_write_trace_csv(tmp_path):
+    pair = gen_ellipsoids(20, 10.0, seed=7)
+    trace = solve(pair, SolverConfig(eps=1e-10))
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_trace_csv(trace, first)
+    back = read_trace_csv(first)
+    assert back.iterations == trace.iterations and back.status == "unknown"
+    columns = [c for c in TRACE_COLUMNS if c not in ("alpha", "dist_sref")]
+    for got, want in zip(back.records, trace.records, strict=True):
+        assert [getattr(got, c) for c in columns] == [getattr(want, c) for c in columns]
+        assert got.dist_sref == want.dist_sref
+        assert got.alpha == want.alpha or (math.isnan(got.alpha) and math.isnan(want.alpha))
+        assert math.isnan(got.centralization_ip)
+    write_trace_csv(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_map_iteration_counts_on_ell_map_instances():
+    """Pinned counts: a faster projection must leave the iterations alone."""
+    cfg = SolverConfig(method="map", eps=1e-4, max_iter=200_000)
+    counts = [solve(gen_ellipsoids(100, 1.5, 1e-3, seed), cfg).iterations for seed in range(5)]
+    assert counts == [592, 598, 593, 678, 572]
 
 
 def test_trace_delta_reaches_eps():
