@@ -21,7 +21,6 @@ _GRAM_DET_RTOL = 1e-14
 class CircumcenterResult:
     center: np.ndarray
     case: str
-    residual: float
 
 
 def circumcenter(z, v, w) -> CircumcenterResult:
@@ -48,13 +47,13 @@ def circumcenter(z, v, w) -> CircumcenterResult:
     n2 = float(np.linalg.norm(d2))
     nvw = float(np.linalg.norm(v - w))
     if n1 <= tiny and n2 <= tiny:
-        return CircumcenterResult(z.copy(), CASE_ALL_COINCIDENT, 0.0)
+        return CircumcenterResult(z.copy(), CASE_ALL_COINCIDENT)
     if nvw <= tiny:
-        return CircumcenterResult(0.5 * (z + v), CASE_COINCIDENT_PAIR, 0.0)
+        return CircumcenterResult(0.5 * (z + v), CASE_COINCIDENT_PAIR)
     if n1 <= tiny:
-        return CircumcenterResult(0.5 * (z + w), CASE_COINCIDENT_PAIR, 0.0)
+        return CircumcenterResult(0.5 * (z + w), CASE_COINCIDENT_PAIR)
     if n2 <= tiny:
-        return CircumcenterResult(0.5 * (z + v), CASE_COINCIDENT_PAIR, 0.0)
+        return CircumcenterResult(0.5 * (z + v), CASE_COINCIDENT_PAIR)
 
     g11 = float(d1 @ d1)
     g22 = float(d2 @ d2)
@@ -69,13 +68,7 @@ def circumcenter(z, v, w) -> CircumcenterResult:
         )
     a = 0.5 * (g11 * g22 - g22 * g12) / det
     b = 0.5 * (g22 * g11 - g11 * g12) / det
-    c = z + a * d1 + b * d2
-    rz = float(np.linalg.norm(c - z))
-    residual = max(
-        abs(rz - float(np.linalg.norm(c - v))),
-        abs(rz - float(np.linalg.norm(c - w))),
-    )
-    return CircumcenterResult(c, CASE_FULL_RANK, residual)
+    return CircumcenterResult(z + a * d1 + b * d2, CASE_FULL_RANK)
 
 
 def pcrm(

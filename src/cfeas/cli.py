@@ -16,7 +16,7 @@ from .bench import (
 )
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
-from .problems import GENERATORS, generate, load_pair, save_pair
+from .problems import GENERATORS, generate, load_pair, read_json, save_pair
 from .solver import STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
 
 EXIT_OK = 0
@@ -87,20 +87,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _parse_schedule(text: str):
     kind, _, rest = text.partition(":")
-    if kind == "constant":
-        return schedule_from_json({"kind": "constant", "alpha": float(rest or 0.5)})
-    if kind == "vanishing":
-        return schedule_from_json({"kind": "vanishing"})
-    if kind == "table":
-        return schedule_from_json(
-            {"kind": "table", "values": [float(v) for v in rest.split(",")]}
-        )
+    try:
+        if kind == "constant":
+            return schedule_from_json({"kind": "constant", "alpha": float(rest or 0.5)})
+        if kind == "vanishing":
+            return schedule_from_json({"kind": "vanishing"})
+        if kind == "table":
+            return schedule_from_json(
+                {"kind": "table", "values": [float(v) for v in rest.split(",")]}
+            )
+    except ValueError as exc:
+        raise InvalidSpec(f"--schedule {text!r}: {exc}") from None
     raise InvalidSpec(f"unknown schedule {text!r}")
 
 
 def _parse_seed_range(text: str):
     lo, _, hi = text.partition("..")
-    return list(range(int(lo), int(hi) + 1))
+    try:
+        return list(range(int(lo), int(hi) + 1))
+    except ValueError:
+        raise InvalidSpec(f"--seed-range {text!r}: expected A..B") from None
 
 
 def _cmd_gen(args) -> int:
@@ -116,8 +122,7 @@ def _cmd_solve(args) -> int:
     elif args.family:
         pair = generate(args.family, args.seed, **_generator_params(args))
     else:
-        print("solve needs --instance or --family", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidSpec("solve needs --instance or --family")
     cfg = SolverConfig(
         method=args.method,
         kernel=KernelSpec.from_string(args.kernel),
@@ -142,13 +147,8 @@ def _cmd_bench(args) -> int:
         print()
         return EXIT_OK
     if not args.config:
-        print("bench needs --config (or --print-schema)", file=sys.stderr)
-        return EXIT_USAGE
-    with open(args.config) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"bench config {args.config}: not JSON ({exc})") from None
+        raise InvalidSpec("bench needs --config (or --print-schema)")
+    doc = read_json(args.config, "bench config")
     if not isinstance(doc, dict):
         raise InvalidSpec(f"bench config {args.config}: not a JSON object")
     if args.seed_range:

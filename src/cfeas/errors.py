@@ -25,16 +25,17 @@ class DegenerateCircumcenter(CfeasError, RuntimeError):
     """
 
 
-class InvalidKernel(CfeasError, ValueError):
+class InvalidSpec(CfeasError, ValueError):
+    """Malformed input: parameters, settings, a document, a flag or a file
+    that cannot be opened.  The command line exits 2 on it."""
+
+
+class InvalidKernel(InvalidSpec):
     """Kernel token sequence violates the admissibility invariants."""
 
 
-class InvalidSchedule(CfeasError, ValueError):
+class InvalidSchedule(InvalidSpec):
     """Step-size schedule is malformed (empty table, value outside (0,1))."""
-
-
-class InvalidSpec(CfeasError, ValueError):
-    """Problem-generator parameters or an instance document are malformed."""
 
 
 class InsufficientTrace(CfeasError, ValueError):

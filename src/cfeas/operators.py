@@ -68,7 +68,6 @@ KERNEL_DEEP = KernelSpec(("Y", "X", "Y"))
 class StepDiagnostics:
     centralization_ip: float
     algorithmic_projections: int
-    strictly_centralized: bool
 
 
 def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
@@ -157,6 +156,5 @@ def circumcentered_step(
     diag = StepDiagnostics(
         centralization_ip=ip,
         algorithmic_projections=kernel_count + 2,
-        strictly_centralized=strict,
     )
     return nxt, diag

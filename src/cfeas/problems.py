@@ -202,28 +202,6 @@ def generate(family: str, seed: int, **params) -> ProblemPair:
     return gen(*generator_args(family, params), seed)
 
 
-def _set_to_json(set_: SetDescriptor) -> dict:
-    if isinstance(set_, Halfspace):
-        return {"variant": "halfspace", "normal": set_.normal.tolist(), "offset": set_.offset}
-    if isinstance(set_, Box):
-        return {"variant": "box", "lo": set_.lo.tolist(), "hi": set_.hi.tolist()}
-    if isinstance(set_, Ball):
-        return {"variant": "ball", "center": set_.center.tolist(), "radius": set_.radius}
-    if isinstance(set_, Ellipsoid):
-        return {"variant": "ellipsoid", "center": set_.center.tolist(), "diag": set_.diag.tolist()}
-    if isinstance(set_, PsdCone):
-        return {"variant": "psd_cone", "order": set_.order}
-    if isinstance(set_, EntryMask):
-        return {
-            "variant": "entry_mask",
-            "order": set_.order,
-            "rows": set_.rows.tolist(),
-            "cols": set_.cols.tolist(),
-            "values": set_.values.tolist(),
-        }
-    raise TypeError(f"unsupported set descriptor {type(set_).__name__}")
-
-
 def _vector(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -240,6 +218,17 @@ _SET_VARIANTS = {
         (("order", operator.index), ("rows", _vector), ("cols", _vector), ("values", _vector)),
     ),
 }
+
+
+def _set_to_json(set_: SetDescriptor) -> dict:
+    for variant, (cls, fields) in _SET_VARIANTS.items():
+        if isinstance(set_, cls):
+            doc = {"variant": variant}
+            for key, _ in fields:
+                value = getattr(set_, key)
+                doc[key] = value.tolist() if isinstance(value, np.ndarray) else value
+            return doc
+    raise TypeError(f"unsupported set descriptor {type(set_).__name__}")
 
 
 def _field(doc, name: str, key: str, read=None):
@@ -301,10 +290,17 @@ def save_pair(pair: ProblemPair, path) -> None:
         json.dump(pair_to_json(pair), fh)
 
 
+def read_json(path, what: str):
+    """The JSON document at path; InvalidSpec naming `what` and the path if
+    the file cannot be opened or is not JSON."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InvalidSpec(f"{what} {path}: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise InvalidSpec(f"{what} {path}: not JSON ({exc})") from None
+
+
 def load_pair(path) -> ProblemPair:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidSpec(f"instance {path}: not JSON ({exc})") from None
-    return pair_from_json(doc)
+    return pair_from_json(read_json(path, "instance"))

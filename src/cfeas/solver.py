@@ -14,6 +14,7 @@ from .errors import (
     EigenFailure,
     InsufficientTrace,
     InvalidSchedule,
+    InvalidSpec,
     NonconvergedProjection,
 )
 from .geometry import (
@@ -98,11 +99,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.eps <= 0.0:
-            raise ValueError("eps must be positive")
+            raise InvalidSpec("eps must be positive")
         if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+            raise InvalidSpec("max_iter must be >= 1")
         if self.method not in ("crm", "map"):
-            raise ValueError(f"unknown method {self.method!r}")
+            raise InvalidSpec(f"unknown method {self.method!r}")
 
 
 def ccrm_config(**overrides) -> SolverConfig:
@@ -148,15 +149,17 @@ class SolveTrace:
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """Iterate until the feasibility gap drops to eps or the cap is reached.
 
-    The stopping gap at each iterate projects onto both sets; the next step
-    reuses the projection that matches its kernel's innermost token instead of
-    computing it again.  The counters are logical: `cum_proj_alg` adds
-    len(kernel) + 2 per step and `cum_proj_diag` adds 2 per gap, so the one
-    projection per iteration that the two share is counted in both, and the
-    projections actually evaluated are cum_proj_alg + cum_proj_diag - k.
+    cfg.method picks the step: "crm" takes one circumcentered step, "map" the
+    alternating-projections step z_{k+1} = P_X(P_Y(z_k)).  The stopping gap
+    at each iterate projects onto both sets; the next step reuses the
+    projection it needs (the one matching the kernel's innermost token, or
+    MAP's P_Y z_k) instead of computing it again.  The counters are logical:
+    `cum_proj_alg` adds len(kernel) + 2 per cCRM step and 2 per MAP step, and
+    `cum_proj_diag` adds 2 per gap, so the one projection per iteration that
+    the two share is counted in both, and the projections actually evaluated
+    are cum_proj_alg + cum_proj_diag - k.  MAP records carry NaN for the
+    centralization inner product and alpha.
     """
-    if cfg.method == "map":
-        return solve_map(pair, cfg)
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
     iterates: Optional[List[np.ndarray]] = [z.copy()] if cfg.record_iterates else None
@@ -190,20 +193,27 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     status = STATUS_MAX_ITER
     failure = None
     iterations = cfg.max_iter
+    crm = cfg.method == "crm"
     lead_x = cfg.kernel.tokens[0] == "X"
+    ip = alpha = math.nan
     for k in range(cfg.max_iter):
-        alpha = schedule_value(cfg.schedule, k)
         try:
-            z, diag = circumcentered_step(
-                pair,
-                z,
-                alpha,
-                cfg.kernel,
-                membership_tol=cfg.membership_tol,
-                strict_tol=cfg.strict_tol,
-                first=px if lead_x else py,
-            )
-            cum_alg += diag.algorithmic_projections
+            if crm:
+                alpha = schedule_value(cfg.schedule, k)
+                z, diag = circumcentered_step(
+                    pair,
+                    z,
+                    alpha,
+                    cfg.kernel,
+                    membership_tol=cfg.membership_tol,
+                    strict_tol=cfg.strict_tol,
+                    first=px if lead_x else py,
+                )
+                cum_alg += diag.algorithmic_projections
+                ip = diag.centralization_ip
+            else:
+                z = project(pair.X, py)
+                cum_alg += 2
             delta, px, py = stopping_gap(pair, z)
             cum_diag += 2
         except (NonconvergedProjection, EigenFailure, DegenerateCircumcenter) as exc:
@@ -213,7 +223,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             break
         if iterates is not None:
             iterates.append(z.copy())
-        snapshot(k + 1, delta, diag.centralization_ip, alpha)
+        snapshot(k + 1, delta, ip, alpha)
         if delta <= cfg.eps:
             status = STATUS_CONVERGED
             iterations = k + 1
@@ -222,63 +232,8 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
 
 
 def solve_map(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
-    """Alternating-projections baseline z_{k+1} = P_X(P_Y(z_k)).
-
-    P_Y z_k is taken from the stopping gap at z_k; the counters are logical,
-    as in `solve`.
-    """
-    z = as_point(pair.z0).copy()
-    records: List[IterationRecord] = []
-    iterates: Optional[List[np.ndarray]] = [z.copy()] if cfg.record_iterates else None
-    cum_alg = 0
-    cum_diag = 0
-    t0 = time.perf_counter_ns()
-
-    def snapshot(k, delta):
-        dist_sref = (
-            float(np.linalg.norm(z - pair.s_ref)) if pair.s_ref is not None else None
-        )
-        records.append(
-            IterationRecord(
-                k=k,
-                delta=delta,
-                dist_sref=dist_sref,
-                centralization_ip=math.nan,
-                alpha=math.nan,
-                cum_proj_alg=cum_alg,
-                cum_proj_diag=cum_diag,
-                wall_ns=time.perf_counter_ns() - t0,
-            )
-        )
-
-    delta, _, py = stopping_gap(pair, z)
-    cum_diag += 2
-    snapshot(0, delta)
-    if delta <= cfg.eps:
-        return SolveTrace(records, STATUS_CONVERGED, z, 0, iterates)
-
-    status = STATUS_MAX_ITER
-    failure = None
-    iterations = cfg.max_iter
-    for k in range(cfg.max_iter):
-        try:
-            z = project(pair.X, py)
-            cum_alg += 2
-            delta, _, py = stopping_gap(pair, z)
-            cum_diag += 2
-        except (NonconvergedProjection, EigenFailure) as exc:
-            status = STATUS_NUMERICAL_FAILURE
-            failure = f"iteration {k}: {exc}"
-            iterations = k
-            break
-        if iterates is not None:
-            iterates.append(z.copy())
-        snapshot(k + 1, delta)
-        if delta <= cfg.eps:
-            status = STATUS_CONVERGED
-            iterations = k + 1
-            break
-    return SolveTrace(records, status, z, iterations, iterates, failure)
+    """Alternating-projections baseline z_{k+1} = P_X(P_Y(z_k)); see `solve`."""
+    return solve(pair, replace(cfg, method="map"))
 
 
 @dataclass
@@ -287,11 +242,9 @@ class RateEstimate:
     tail_mean: float
     classification: str
     rho: Optional[float] = None
-    omega: Optional[float] = None
-    beta: Optional[float] = None
 
 
-def estimate_rate_from_merits(merits, omega: Optional[float] = None) -> RateEstimate:
+def estimate_rate_from_merits(merits) -> RateEstimate:
     """Classify the convergence order of a positive merit sequence.
 
     Ratios are computed only while the merit sits above a noise floor of
@@ -315,9 +268,8 @@ def estimate_rate_from_merits(merits, omega: Optional[float] = None) -> RateEsti
     idx = [k for k in idx if k >= burn]
     ratios = np.array([m[k + 1] / m[k] for k in idx])
 
-    beta = math.sqrt(1.0 - omega * omega) if omega is not None else None
     if ratios.size == 0:
-        return RateEstimate(ratios, math.nan, CLASS_INCONCLUSIVE, omega=omega, beta=beta)
+        return RateEstimate(ratios, math.nan, CLASS_INCONCLUSIVE)
     tail = ratios[-min(10, ratios.size):]
     tail_mean = float(np.exp(np.mean(np.log(tail))))
 
@@ -327,20 +279,16 @@ def estimate_rate_from_merits(merits, omega: Optional[float] = None) -> RateEsti
         and np.all(np.diff(last5) < 0.0)
         and last5[-1] < 0.1
     ):
-        return RateEstimate(ratios, tail_mean, CLASS_SUPERLINEAR, omega=omega, beta=beta)
+        return RateEstimate(ratios, tail_mean, CLASS_SUPERLINEAR)
     if ratios.size >= 10:
         last10 = ratios[-10:]
         rho = float(np.exp(np.mean(np.log(last10))))
         if np.all(last10 >= 0.8 * rho) and np.all(last10 <= 1.2 * rho):
-            return RateEstimate(
-                ratios, tail_mean, CLASS_LINEAR, rho=rho, omega=omega, beta=beta
-            )
-    return RateEstimate(ratios, tail_mean, CLASS_INCONCLUSIVE, omega=omega, beta=beta)
+            return RateEstimate(ratios, tail_mean, CLASS_LINEAR, rho=rho)
+    return RateEstimate(ratios, tail_mean, CLASS_INCONCLUSIVE)
 
 
-def estimate_rate(
-    trace: SolveTrace, merit: str = "delta", omega: Optional[float] = None
-) -> RateEstimate:
+def estimate_rate(trace: SolveTrace, merit: str = "delta") -> RateEstimate:
     """Rate estimate from a solve trace.
 
     merit "delta" uses the recorded feasibility gaps; "dist_to_limit" uses
@@ -355,7 +303,7 @@ def estimate_rate(
         merits = np.array([float(np.linalg.norm(z - z_bar)) for z in trace.iterates])
     else:
         raise ValueError(f"unknown merit {merit!r}")
-    return estimate_rate_from_merits(merits, omega=omega)
+    return estimate_rate_from_merits(merits)
 
 
 def _fmt(value) -> str:

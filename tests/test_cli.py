@@ -274,3 +274,47 @@ def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, 
     for word in words:
         assert word in err
     assert not out.exists()  # rejected at load, before any cell runs
+
+
+_SOLVE = ["solve", "--family", "ellipsoids", "--n", "10"]
+
+
+@pytest.mark.parametrize(
+    "argv,words",
+    [
+        (_SOLVE + ["--schedule", "table:"], ["--schedule", "'table:'"]),
+        (["oracle-check", "projections", "--seed-range", "3"], ["--seed-range", "'3'"]),
+        (["bench", "--config", "nosuch.json"], ["bench config", "nosuch.json"]),
+        (["solve", "--instance", "nosuch.json"], ["instance", "nosuch.json"]),
+        (["solve", "--instance", "binary.json"], ["instance", "not JSON"]),
+        (_SOLVE + ["--kernel", "XZ"], ["kernel token", "'Z'"]),
+        (_SOLVE + ["--schedule", "constant:2"], ["--schedule", "alpha"]),
+        (_SOLVE + ["--eps", "0"], ["eps"]),
+        (_SOLVE + ["--max-iter", "0"], ["max_iter"]),
+        (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
+        (["bench"], ["--config"]),
+    ],
+    ids=[
+        "empty_table",
+        "seed_range_without_dots",
+        "missing_config",
+        "missing_instance",
+        "instance_not_utf8",
+        "bad_kernel",
+        "alpha_out_of_range",
+        "zero_eps",
+        "zero_max_iter",
+        "solve_without_instance",
+        "bench_without_config",
+    ],
+)
+def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith("usage error:")
+    for word in words:
+        assert word in err

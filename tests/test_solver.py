@@ -162,12 +162,6 @@ def test_rate_short_trace_raises():
         estimate_rate_from_merits(np.ones(5))
 
 
-def test_rate_with_omega_reports_beta():
-    merits = 0.9 ** np.arange(50)
-    est = estimate_rate_from_merits(merits, omega=0.6)
-    assert est.beta == pytest.approx(math.sqrt(1.0 - 0.36))
-
-
 def test_estimate_rate_dist_to_limit_merit():
     pair = gen_ellipsoids(40, 20.0, seed=6)
     trace = solve(pair, SolverConfig(eps=1e-12, record_iterates=True))
@@ -231,17 +225,20 @@ def test_trace_delta_reaches_eps():
 
 def _reference_solve(pair, cfg):
     """Both drivers with every projection computed afresh: the stopping gap
-    from `distance`, each step without a handed-in projection."""
+    from `distance`, each step without a handed-in projection.  `columns`
+    holds each record's (centralization_ip, alpha): NaN at k = 0 and for MAP."""
     z = pair.z0.copy()
     deltas = [max(distance(pair.X, z), distance(pair.Y, z))]
+    columns = [(math.nan, math.nan)]
     alg, diag = 0, 2
     status, iterations = STATUS_MAX_ITER, cfg.max_iter
     if deltas[0] <= cfg.eps:
-        return deltas, alg, diag, STATUS_CONVERGED, 0, z
+        return deltas, columns, alg, diag, STATUS_CONVERGED, 0, z
     for k in range(cfg.max_iter):
         if cfg.method == "map":
             z = project(pair.X, project(pair.Y, z))
             alg += 2
+            columns.append((math.nan, math.nan))
         else:
             alpha = schedule_value(cfg.schedule, k)
             z, step = circumcentered_step(
@@ -253,12 +250,13 @@ def _reference_solve(pair, cfg):
                 strict_tol=cfg.strict_tol,
             )
             alg += step.algorithmic_projections
+            columns.append((step.centralization_ip, alpha))
         deltas.append(max(distance(pair.X, z), distance(pair.Y, z)))
         diag += 2
         if deltas[-1] <= cfg.eps:
             status, iterations = STATUS_CONVERGED, k + 1
             break
-    return deltas, alg, diag, status, iterations, z
+    return deltas, columns, alg, diag, status, iterations, z
 
 
 _INSTANCES = {
@@ -288,8 +286,10 @@ def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
     pair = generate(family, seed, **params)
     cfg = SolverConfig(eps=eps, max_iter=2000, **options)
     trace = solve(pair, cfg)
-    deltas, alg, diag, status, iterations, z = _reference_solve(pair, cfg)
+    deltas, columns, alg, diag, status, iterations, z = _reference_solve(pair, cfg)
     assert trace.deltas.tolist() == deltas
+    got = np.array([(r.centralization_ip, r.alpha) for r in trace.records])
+    assert np.array_equal(got, np.array(columns), equal_nan=True)
     assert trace.records[-1].cum_proj_alg == alg
     assert trace.records[-1].cum_proj_diag == diag
     assert (trace.status, trace.iterations) == (status, iterations)
