@@ -42,6 +42,8 @@ class Halfspace:
     def __post_init__(self):
         object.__setattr__(self, "normal", as_point(self.normal))
         object.__setattr__(self, "offset", float(self.offset))
+        if not (np.isfinite(self.normal).all() and math.isfinite(self.offset)):
+            raise ValueError("halfspace normal and offset must be finite")
         if not np.any(self.normal):
             raise ValueError("halfspace normal must be nonzero")
 
@@ -67,6 +69,8 @@ class Box:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_point(self.lo))
         object.__setattr__(self, "hi", as_point(self.hi))
+        if not (np.isfinite(self.lo).all() and np.isfinite(self.hi).all()):
+            raise ValueError("box bounds must be finite")
         if self.lo.shape != self.hi.shape or np.any(self.lo > self.hi):
             raise ValueError("box requires lo <= hi of equal length")
 
@@ -88,6 +92,8 @@ class Ball:
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
         object.__setattr__(self, "radius", float(self.radius))
+        if not (np.isfinite(self.center).all() and math.isfinite(self.radius)):
+            raise ValueError("ball center and radius must be finite")
         if self.radius <= 0.0:
             raise ValueError("ball radius must be positive")
 
@@ -117,6 +123,8 @@ class Ellipsoid:
             raise ValueError("ellipsoid center and diag must share length")
         if np.any(self.diag <= 0.0) or not np.all(np.isfinite(self.diag)):
             raise ValueError("ellipsoid axis scales must be positive and finite")
+        if not np.isfinite(self.center).all():
+            raise ValueError("ellipsoid center must be finite")
         # extreme axis scales bracket the projection's multiplier
         object.__setattr__(self, "d_min", float(np.min(self.diag)))
         object.__setattr__(self, "d_max", float(np.max(self.diag)))
@@ -166,6 +174,8 @@ class EntryMask:
         object.__setattr__(self, "values", as_point(self.values))
         if not (len(self.rows) == len(self.cols) == len(self.values)):
             raise ValueError("rows, cols, values must have equal length")
+        if not np.isfinite(self.values).all():
+            raise ValueError("entry mask values must be finite")
         pinned = {}
         for i, j, v in zip(self.rows, self.cols, self.values):
             if not (0 <= i < self.order and 0 <= j < self.order):

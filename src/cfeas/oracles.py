@@ -11,8 +11,8 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
+from .errors import CfeasError
 from .geometry import Ellipsoid, Halfspace, ProblemPair, as_point, project
 
 
@@ -53,8 +53,15 @@ def psd_nearest_descent(m: np.ndarray, seed: int = 0) -> np.ndarray:
 
     Minimizes f(L) = 0.25 ||L L^T - sym(M)||_F^2 over full n x n factors L
     (no spurious local minima for this objective), so the result is the PSD
-    projection without ever forming an eigendecomposition.
+    projection without ever forming an eigendecomposition.  The only oracle
+    that needs scipy, so scipy loads here and not with the package.
     """
+    try:
+        from scipy.optimize import minimize
+    except ImportError:
+        raise CfeasError(
+            "oracle-check projections needs scipy (install cfeas[test])"
+        ) from None
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     sym = 0.5 * (m + m.T)

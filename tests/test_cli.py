@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import sys
 
 import pytest
 
@@ -187,6 +188,18 @@ def test_oracle_check_command(capsys):
     assert doc["ok"] is True
 
 
+def test_oracle_check_without_scipy(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "scipy.optimize", None)  # import fails
+    for suite in ("circumcenter", "invariants"):
+        assert main(["oracle-check", suite, "--seed-range", "0..1"]) == EXIT_OK
+    capsys.readouterr()
+    rc = main(["oracle-check", "projections", "--seed-range", "0..1"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_RUN_FAILURE
+    assert captured.out == ""
+    assert captured.err == "error: oracle-check projections needs scipy (install cfeas[test])\n"
+
+
 def _write_instance(tmp_path, edit):
     """Write a generated wedge instance's document, changed by `edit`."""
     doc = pair_to_json(gen_halfspace_wedge(4, 0.5, seed=0))
@@ -209,14 +222,19 @@ def _nan_z0(doc):
     doc["z0"][1] = float("nan")
 
 
+def _nan_radius(doc):
+    doc["X"] = {"variant": "ball", "center": [0.0, 0.0, 0.0, 0.0], "radius": float("nan")}
+
+
 @pytest.mark.parametrize(
     "edit,words",
     [
         (_ball_without_radius, ["set X (ball)", "'radius'"]),
         (_non_numeric_z0, ["instance", "'z0'"]),
         (_nan_z0, ["z0", "non-finite"]),
+        (_nan_radius, ["set X (ball)", "finite"]),
     ],
-    ids=["missing_field", "wrong_type", "nan_z0"],
+    ids=["missing_field", "wrong_type", "nan_z0", "nan_radius"],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
     rc = main(["solve", "--instance", _write_instance(tmp_path, edit), "--eps", "1e-8"])

@@ -1,4 +1,6 @@
 """Projection, distance, and membership behavior for every set variant."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,30 @@ def test_nonfinite_input_surfaces_as_error():
     ball = Ball(center=np.zeros(2), radius=1.0)
     with pytest.raises(CfeasError):
         project(ball, np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize(
+    "variant,field",
+    [
+        ("halfspace", "normal"),
+        ("halfspace", "offset"),
+        ("box", "lo"),
+        ("box", "hi"),
+        ("ball", "center"),
+        ("ball", "radius"),
+        ("ellipsoid", "center"),
+        ("ellipsoid", "diag"),
+        ("entry_mask", "values"),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_set_parameter_rejected_at_construction(variant, field, bad):
+    set_ = random_set(variant, make_rng(7))
+    value = getattr(set_, field)
+    if np.ndim(value):
+        value = value.copy()
+        value[0] = bad
+    else:
+        value = bad
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(set_, **{field: value})
