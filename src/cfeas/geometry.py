@@ -176,17 +176,21 @@ class EntryMask:
             raise ValueError("rows, cols, values must have equal length")
         if not np.isfinite(self.values).all():
             raise ValueError("entry mask values must be finite")
-        pinned = {}
-        for i, j, v in zip(self.rows, self.cols, self.values):
-            if not (0 <= i < self.order and 0 <= j < self.order):
-                raise ValueError("mask index out of range")
-            pinned[(int(i), int(j))] = float(v)
-        for (i, j), v in pinned.items():
-            if (j, i) not in pinned or pinned[(j, i)] != v:
+        n = self.order
+        if np.any((self.rows < 0) | (self.rows >= n) | (self.cols < 0) | (self.cols >= n)):
+            raise ValueError("mask index out of range")
+        flat = self.rows * n + self.cols
+        if flat.size:
+            # a pair given twice keeps its last value: scatter each flat
+            # index's last occurrence, the first one in the reversed order
+            uniq, first_rev = np.unique(flat[::-1], return_index=True)
+            pinned = np.zeros((n, n), dtype=bool)
+            dense = np.zeros((n, n))
+            pinned.flat[uniq] = True
+            dense.flat[uniq] = self.values[::-1][first_rev]
+            if not (np.array_equal(pinned, pinned.T) and np.array_equal(dense, dense.T)):
                 raise ValueError("entry mask must be symmetric with equal values")
-        object.__setattr__(
-            self, "_flat", (self.rows * self.order + self.cols).astype(int)
-        )
+        object.__setattr__(self, "_flat", flat.astype(int))
 
     @property
     def dim(self) -> int:
@@ -230,6 +234,9 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     s = float(du2.sum())
     if s <= 1.0:
         return z.copy(), 0.0
+    if not math.isfinite(s):
+        # a non-finite point (or an overflowing one) has no Newton solve
+        raise NonconvergedProjection("projection produced non-finite entries")
 
     root = math.sqrt(s) - 1.0
     lo, hi = root / e.d_max, root / e.d_min
@@ -329,16 +336,30 @@ class ProblemPair:
 def stopping_gap(pair: ProblemPair, z):
     """(gap, P_X z, P_Y z) with gap = max{dist(z, X), dist(z, Y)}.
 
-    The gap is the stopping merit, computed as `distance` does; the two
-    projections are returned so that the next step can reuse one of them.
+    The gap is the stopping merit, with the bits `distance` gives (numpy's
+    1-D norm is sqrt(r @ r)); the two projections are returned so that the
+    next step can reuse one of them.  z must be a 1-D float array of the
+    pair's dimension, as the solver's iterates are; `gap` checks outside input.
+
+    The projections are not checked one by one.  Instead the gap raises
+    NonconvergedProjection unless both distances are finite, which holds
+    exactly when z and both projections are finite (barring overflow of the
+    squared norm).  Each distance is tested on its own: max(1.0, nan) is 1.0.
     """
-    z = as_point(z)
-    px = project(pair.X, z)
-    py = project(pair.Y, z)
-    delta = max(float(np.linalg.norm(z - px)), float(np.linalg.norm(z - py)))
-    return delta, px, py
+    px = pair.X._project(z)
+    py = pair.Y._project(z)
+    rx = z - px
+    ry = z - py
+    dist_x = math.sqrt(float(rx @ rx))
+    dist_y = math.sqrt(float(ry @ ry))
+    if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
+        raise NonconvergedProjection("projection produced non-finite entries")
+    return max(dist_x, dist_y), px, py
 
 
 def gap(pair: ProblemPair, z) -> float:
     """Feasibility gap max{dist(z, X), dist(z, Y)}: the stopping merit."""
+    z = as_point(z)
+    if z.shape[0] != pair.dim:
+        raise DimensionMismatch(f"point dim {z.shape[0]} != pair dim {pair.dim}")
     return stopping_gap(pair, z)[0]

@@ -8,12 +8,13 @@ circumcenter step behave like a projection onto supporting halfspaces.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circumcentering import circumcenter
-from .errors import DegenerateCircumcenter, InvalidKernel
+from .errors import DegenerateCircumcenter, InvalidKernel, NonconvergedProjection
 from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, project
 
 _TOKENS = ("X", "Y")
@@ -76,6 +77,10 @@ def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
     `first`, if given, is the projection of z onto the set of the innermost
     token, already computed by the caller; only the remaining tokens are then
     applied.  The count is logical: len(spec) either way.
+
+    Each projection here is checked: after two or more of them a later one
+    can overwrite a non-finite entry (the EntryMask projection rewrites the
+    pinned entries), so a check on the result alone would miss it.
     """
     if first is None:
         out, tokens = as_point(z), spec.tokens
@@ -90,12 +95,13 @@ def centralize(pair: ProblemPair, t_point, alpha: float):
     """Interpolate alpha * t + (1 - alpha) * P_X t; returns (n_point, px_t).
 
     Since the result lies on the segment [t, P_X t], its X-projection equals
-    px_t; callers must reuse px_t instead of re-projecting.
+    px_t; callers must reuse px_t instead of re-projecting.  P_X t is not
+    checked for finiteness; `circumcentered_step` checks its inner product.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     t_point = as_point(t_point)
-    px_t = project(pair.X, t_point)
+    px_t = pair.X._project(t_point)
     n_point = alpha * t_point + (1.0 - alpha) * px_t
     return n_point, px_t
 
@@ -133,13 +139,19 @@ def circumcentered_step(
     stopping gap already made, the step evaluates one projection fewer.  The
     X-reflection of n reuses px_t.  When n is not strictly centralized it lies
     in Y (up to tolerance) and the step reduces to P_X n = px_t.
+
+    P_X t and P_Y n are unchecked; the step raises NonconvergedProjection
+    when <n - P_X n, n - P_Y n> is not finite, since a non-finite entry in
+    either would otherwise turn `strict` False and be replaced by px_t.
     """
     t_point, kernel_count = apply_kernel(spec, pair, z, first)
     n_point, px_t = centralize(pair, t_point, alpha)
-    py_n = project(pair.Y, n_point)
+    py_n = pair.Y._project(n_point)
     dx = n_point - px_t
     dy = n_point - py_n
     ip = float(dx @ dy)
+    if not math.isfinite(ip):
+        raise NonconvergedProjection("projection produced non-finite entries")
     # cosine test: strict iff the displacement angle is genuinely obtuse
     strict = ip < -strict_tol * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
     in_y = float(np.linalg.norm(dy)) <= membership_tol * (

@@ -22,7 +22,7 @@ from .geometry import (
     ProblemPair,
     as_point,
     distance,  # noqa: F401  not called here; perfbench/tracer.py wraps this name
-    project,
+    project,  # noqa: F401  not called here; perfbench/tracer.py wraps this name
     stopping_gap,
 )
 from .operators import (
@@ -159,6 +159,12 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     the two share is counted in both, and the projections actually evaluated
     are cum_proj_alg + cum_proj_diag - k.  MAP records carry NaN for the
     centralization inner product and alpha.
+
+    Inputs are checked once, by ProblemPair; inside the loop the projections
+    are the sets' unchecked `_project`, and finiteness is checked once per
+    gap and once per step (see `circumcentered_step`).  A non-finite
+    projection inside the loop ends the run as numerical_failure at the
+    iteration where it occurs; at the gap of z0 the error propagates.
     """
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
@@ -168,9 +174,10 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     t0 = time.perf_counter_ns()
 
     def snapshot(k, delta, ip, alpha):
-        dist_sref = (
-            float(np.linalg.norm(z - pair.s_ref)) if pair.s_ref is not None else None
-        )
+        dist_sref = None
+        if pair.s_ref is not None:
+            r = z - pair.s_ref
+            dist_sref = math.sqrt(float(r @ r))
         records.append(
             IterationRecord(
                 k=k,
@@ -212,7 +219,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
                 cum_alg += diag.algorithmic_projections
                 ip = diag.centralization_ip
             else:
-                z = project(pair.X, py)
+                z = pair.X._project(py)
                 cum_alg += 2
             delta, px, py = stopping_gap(pair, z)
             cum_diag += 2

@@ -14,7 +14,7 @@ from cfeas.geometry import Ellipsoid, project, project_ellipsoid_multiplier
 from cfeas.oracles import ellipsoid_bisection
 from cfeas.sampling import make_rng, random_member
 
-PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=150)
 
 # bisection bracket wide enough for every multiplier drawn here: the multiplier
 # is at most (sqrt(s) - 1) / min(diag) < 1e9

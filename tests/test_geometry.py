@@ -1,5 +1,6 @@
 """Projection, distance, and membership behavior for every set variant."""
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
@@ -22,6 +23,11 @@ from cfeas.geometry import (
 )
 from cfeas.oracles import ellipsoid_bisection, psd_nearest_descent
 from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
+
+
+def _seed(*key) -> int:
+    """A seed fixed by its key in every process, unlike the salted hash()."""
+    return zlib.crc32(repr(key).encode())
 
 
 def test_halfspace_projection_closed_form():
@@ -47,7 +53,7 @@ def test_ball_projection_radial():
 def test_projection_idempotent_all_variants():
     for variant in VARIANTS:
         for seed in range(20):
-            rng = make_rng(hash((variant, seed)) % (2**63))
+            rng = make_rng(_seed("idempotent", variant, seed))
             c = random_set(variant, rng)
             z = random_point(c.dim, rng)
             p = project(c, z)
@@ -58,7 +64,7 @@ def test_projection_idempotent_all_variants():
 def test_projection_nonexpansive_all_variants():
     for variant in VARIANTS:
         for seed in range(20):
-            rng = make_rng((hash((variant, seed)) + 7) % (2**63))
+            rng = make_rng(_seed("nonexpansive", variant, seed))
             c = random_set(variant, rng)
             a = random_point(c.dim, rng)
             b = random_point(c.dim, rng)
@@ -71,7 +77,7 @@ def test_projection_pythagorean_inequality():
     # <z - Pz, m - Pz> <= 0 for any member m characterizes the projection
     for variant in VARIANTS:
         for seed in range(20):
-            rng = make_rng((hash((variant, seed)) + 13) % (2**63))
+            rng = make_rng(_seed("pythagorean", variant, seed))
             c = random_set(variant, rng)
             z = random_point(c.dim, rng)
             p = project(c, z)
@@ -159,7 +165,7 @@ def test_entry_mask_requires_symmetric_data():
 
 def test_reflection_identity():
     for variant in VARIANTS:
-        rng = make_rng(hash(variant) % (2**63))
+        rng = make_rng(_seed("reflection", variant))
         c = random_set(variant, rng)
         z = random_point(c.dim, rng)
         r = reflect(c, z)
@@ -179,17 +185,33 @@ def test_contains_and_gap():
 
 
 def test_dimension_mismatch_raised():
+    from cfeas.geometry import ProblemPair
+
     ball = Ball(center=np.zeros(3), radius=1.0)
     with pytest.raises(DimensionMismatch):
         project(ball, np.zeros(4))
+    # the solve path skips these checks; the public entry points keep them
+    pair = ProblemPair(X=ball, Y=Ellipsoid(np.zeros(3), np.ones(3)), z0=np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        gap(pair, np.zeros(4))
+    with pytest.raises(DimensionMismatch):
+        project_ellipsoid_multiplier(pair.Y, np.zeros(2))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_nonfinite_input_surfaces_as_error():
-    from cfeas.errors import CfeasError
+    from cfeas.errors import CfeasError, NonconvergedProjection
+    from cfeas.geometry import ProblemPair
 
     ball = Ball(center=np.zeros(2), radius=1.0)
     with pytest.raises(CfeasError):
         project(ball, np.array([np.nan, 0.0]))
+    pair = ProblemPair(X=ball, Y=Ellipsoid(np.zeros(2), np.ones(2)), z0=np.ones(2))
+    for bad in (np.array([np.nan, 0.0]), np.array([np.inf, 0.0])):
+        with pytest.raises(NonconvergedProjection):
+            gap(pair, bad)
+        with pytest.raises(NonconvergedProjection):
+            project_ellipsoid_multiplier(pair.Y, bad)
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfeas.geometry import project
+from cfeas.geometry import EntryMask, project
 from cfeas.problems import (
     gen_ellipsoids,
     gen_halfspace_wedge,
@@ -25,7 +25,7 @@ from cfeas.problems import (
 )
 from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
 
-PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+PROPERTY_SETTINGS = settings(max_examples=60)
 
 
 @st.composite
@@ -92,3 +92,57 @@ def test_instance_json_round_trip(pair):
     assert np.array_equal(pair.z0, back.z0)
     assert np.array_equal(pair.s_ref, back.s_ref)
     assert back.metadata == pair.metadata
+
+
+def _entry_mask_loop_check(order, rows, cols, values):
+    """The symmetry check EntryMask made with a loop and a dict, kept as the
+    reference: a pair given twice keeps its last value."""
+    pinned = {}
+    for i, j, v in zip(rows, cols, values):
+        if not (0 <= i < order and 0 <= j < order):
+            raise ValueError("mask index out of range")
+        pinned[(int(i), int(j))] = float(v)
+    for (i, j), v in pinned.items():
+        if (j, i) not in pinned or pinned[(j, i)] != v:
+            raise ValueError("entry mask must be symmetric with equal values")
+
+
+@st.composite
+def mask_entries(draw):
+    """(order, entries): few indices, so pairs repeat; mirrored entries keep or
+    change their value; now and then one index one past either end."""
+    order = draw(st.integers(1, 5))
+    index = st.integers(0, order - 1)
+    value = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+    entries = draw(st.lists(st.tuples(index, index, value), max_size=12))
+    if draw(st.booleans()):
+        entries += [(j, i, draw(value) if draw(st.booleans()) else v) for i, j, v in entries]
+        entries = draw(st.permutations(entries))
+    if entries and draw(st.integers(0, 3)) == 0:
+        k = draw(st.integers(0, len(entries) - 1))
+        i, j, v = entries[k]
+        bad = draw(st.sampled_from([-1, order]))
+        entries[k] = (bad, j, v) if draw(st.booleans()) else (i, bad, v)
+    return order, entries
+
+
+def _outcome(check, order, rows, cols, values):
+    try:
+        check(order, rows, cols, values)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400)
+@given(mask_entries())
+def test_entry_mask_checks_as_the_loop_reference(case):
+    order, entries = case
+    rows = np.array([e[0] for e in entries], dtype=int)
+    cols = np.array([e[1] for e in entries], dtype=int)
+    values = np.array([e[2] for e in entries], dtype=float)
+    expected = _outcome(_entry_mask_loop_check, order, rows, cols, values)
+    assert _outcome(EntryMask, order, rows, cols, values) == expected
+    if expected is None:
+        mask = EntryMask(order, rows, cols, values)
+        assert np.array_equal(mask._flat, rows * order + cols)
