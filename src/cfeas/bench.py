@@ -258,7 +258,7 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
                 "seed": r.seed,
                 "status": r.trace.status if r.trace else "error",
                 "iterations": r.trace.iterations if r.trace else None,
-                "final_delta": r.trace.final_delta if r.trace else None,
+                "final_delta": r.trace.final_delta if r.trace and r.trace.records else None,
                 "projections": r.trace.total_algorithmic_projections
                 if r.trace
                 else None,

@@ -333,7 +333,7 @@ class ProblemPair:
         return self.X.dim
 
 
-def stopping_gap(pair: ProblemPair, z):
+def stopping_gap(pair: ProblemPair, z, px=None):
     """(gap, P_X z, P_Y z) with gap = max{dist(z, X), dist(z, Y)}.
 
     The gap is the stopping merit, with the bits `distance` gives (numpy's
@@ -341,16 +341,27 @@ def stopping_gap(pair: ProblemPair, z):
     next step can reuse one of them.  z must be a 1-D float array of the
     pair's dimension, as the solver's iterates are; `gap` checks outside input.
 
+    A caller that already holds P_X z hands it in as `px` and X is not
+    projected again.  `px is z` says that z is itself an X-projection (MAP's
+    iterates are), and then dist(z, X) is 0.0 by idempotence, with no
+    arithmetic.
+
     The projections are not checked one by one.  Instead the gap raises
     NonconvergedProjection unless both distances are finite, which holds
     exactly when z and both projections are finite (barring overflow of the
     squared norm).  Each distance is tested on its own: max(1.0, nan) is 1.0.
+    With `px is z` a non-finite z still raises: z - P_Y z is NaN or infinite
+    at a non-finite entry of z whatever P_Y z holds there.
     """
-    px = pair.X._project(z)
+    if px is None:
+        px = pair.X._project(z)
     py = pair.Y._project(z)
-    rx = z - px
+    if px is z:
+        dist_x = 0.0
+    else:
+        rx = z - px
+        dist_x = math.sqrt(float(rx @ rx))
     ry = z - py
-    dist_x = math.sqrt(float(rx @ rx))
     dist_y = math.sqrt(float(ry @ ry))
     if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
         raise NonconvergedProjection("projection produced non-finite entries")

@@ -112,7 +112,7 @@ def ccrm_config(**overrides) -> SolverConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationRecord:
     k: int
     delta: float
@@ -139,11 +139,16 @@ class SolveTrace:
 
     @property
     def final_delta(self) -> float:
-        return self.records[-1].delta
+        """The last recorded gap; NaN for a run that failed at z0."""
+        return self.records[-1].delta if self.records else math.nan
 
     @property
     def total_algorithmic_projections(self) -> int:
-        return self.records[-1].cum_proj_alg
+        return self.records[-1].cum_proj_alg if self.records else 0
+
+
+# a projection or step that cannot be completed ends the run as numerical_failure
+_FAILURES = (NonconvergedProjection, EigenFailure, DegenerateCircumcenter)
 
 
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
@@ -153,18 +158,22 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     alternating-projections step z_{k+1} = P_X(P_Y(z_k)).  The stopping gap
     at each iterate projects onto both sets; the next step reuses the
     projection it needs (the one matching the kernel's innermost token, or
-    MAP's P_Y z_k) instead of computing it again.  The counters are logical:
-    `cum_proj_alg` adds len(kernel) + 2 per cCRM step and 2 per MAP step, and
-    `cum_proj_diag` adds 2 per gap, so the one projection per iteration that
-    the two share is counted in both, and the projections actually evaluated
-    are cum_proj_alg + cum_proj_diag - k.  MAP records carry NaN for the
-    centralization inner product and alpha.
+    MAP's P_Y z_k) instead of computing it again.  A MAP iterate after z0 is
+    itself an X-projection, so its gap takes P_X z = z and projects onto Y
+    alone.  The counters are logical: `cum_proj_alg` adds len(kernel) + 2 per
+    cCRM step and 2 per MAP step; `cum_proj_diag` adds 2 per gap, except 1
+    per MAP gap after z0.  The one projection per iteration that the step
+    and the gap share is counted in both, and the projections actually
+    evaluated are cum_proj_alg + cum_proj_diag - k for either method: 2 per
+    MAP iteration.  MAP records carry NaN for the centralization inner
+    product and alpha.
 
     Inputs are checked once, by ProblemPair; inside the loop the projections
     are the sets' unchecked `_project`, and finiteness is checked once per
-    gap and once per step (see `circumcentered_step`).  A non-finite
-    projection inside the loop ends the run as numerical_failure at the
-    iteration where it occurs; at the gap of z0 the error propagates.
+    gap and once per step (see `circumcentered_step`).  A non-finite or
+    failed projection ends the run as numerical_failure at the iteration
+    where it occurs; at z0 the trace has no records and its failure message
+    starts with "initial point".
     """
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
@@ -191,7 +200,12 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             )
         )
 
-    delta, px, py = stopping_gap(pair, z)
+    try:
+        delta, px, py = stopping_gap(pair, z)
+    except _FAILURES as exc:
+        return SolveTrace(
+            records, STATUS_NUMERICAL_FAILURE, z, 0, iterates, f"initial point: {exc}"
+        )
     cum_diag += 2
     snapshot(0, delta, math.nan, math.nan)
     if delta <= cfg.eps:
@@ -218,12 +232,14 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
                 )
                 cum_alg += diag.algorithmic_projections
                 ip = diag.centralization_ip
+                delta, px, py = stopping_gap(pair, z)
+                cum_diag += 2
             else:
                 z = pair.X._project(py)
                 cum_alg += 2
-            delta, px, py = stopping_gap(pair, z)
-            cum_diag += 2
-        except (NonconvergedProjection, EigenFailure, DegenerateCircumcenter) as exc:
+                delta, px, py = stopping_gap(pair, z, px=z)
+                cum_diag += 1
+        except _FAILURES as exc:
             status = STATUS_NUMERICAL_FAILURE
             failure = f"iteration {k}: {exc}"
             iterations = k

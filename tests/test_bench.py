@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import cfeas.bench
 from cfeas.bench import (
     CONFIG_SCHEMA,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from cfeas.bench import (
     schedule_from_json,
 )
 from cfeas.errors import EmptyInput, InvalidSpec
+from cfeas.problems import generate
 from cfeas.solver import Constant, Table, Vanishing
 
 
@@ -139,6 +141,28 @@ def test_run_matrix_collects_failures(tmp_path):
     summary, report = run_matrix(ExperimentConfig.from_json(doc))
     assert len(report["failures"]) == 3
     assert all(np.isnan(row["mean_iters"]) for row in summary)
+
+
+def test_run_matrix_reports_a_failure_at_z0(tmp_path, monkeypatch):
+    """A run that fails at its first projection has no gap: report.json holds
+    null for it, and stays strict JSON."""
+
+    def poisoned(family, seed, **params):
+        pair = generate(family, seed, **params)
+        object.__setattr__(pair.Y, "_project", lambda z: np.full_like(z, np.nan))
+        return pair
+
+    monkeypatch.setattr(cfeas.bench, "generate", poisoned)
+    out = str(tmp_path / "run")
+    run_matrix(ExperimentConfig.from_json(_config_doc(out, seeds=(0,))))
+    with open(os.path.join(out, "report.json")) as fh:
+        report = json.load(fh, parse_constant=lambda name: pytest.fail(f"{name} in report.json"))
+    assert len(report["runs"]) == len(report["failures"]) == 3
+    for run in report["runs"]:
+        assert (run["status"], run["iterations"]) == ("numerical_failure", 0)
+        assert (run["final_delta"], run["projections"]) == (None, 0)
+    for failure in report["failures"]:
+        assert failure["error"] == "initial point: projection produced non-finite entries"
 
 
 def test_oracle_suites_clean():

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 import pytest
 
-from cfeas.errors import EigenFailure, NonconvergedProjection
+from cfeas.errors import NonconvergedProjection
 from cfeas.operators import KernelSpec
 from cfeas.problems import generate
 from cfeas.solver import STATUS_NUMERICAL_FAILURE, SolverConfig, solve
@@ -30,6 +30,7 @@ _CONFIGS = {
     "mc-XY": (_MC, {"kernel": KernelSpec.from_string("XY")}),
     "mc-YXY": (_MC, {"kernel": KernelSpec.from_string("YXY")}),
     "mc-XYXY": (_MC, {"kernel": KernelSpec.from_string("XYXY")}),
+    "mc-map": (_MC, {"method": "map"}),
     "ell-XY": (_ELL, {"kernel": KernelSpec.from_string("XY")}),
     "ell-YXY": (_ELL, {"kernel": KernelSpec.from_string("YXY")}),
     "ell-map": (_ELL, {"method": "map"}),
@@ -77,11 +78,7 @@ def _poisoned_outcome(config, which, target, value, check):
     pair = generate(family, seed, **params)
     at = int(pair.Y._flat[0]) if family == "matrix_completion" else 0
     poison = _Poison(getattr(pair, which), target, value, at, check)
-    try:
-        trace = solve(pair, SolverConfig(**_CFG, **options))
-    except (NonconvergedProjection, EigenFailure) as exc:
-        # the gap at k = 0 comes before the loop that turns failures into a status
-        return ("raised", type(exc).__name__, str(exc)), poison.site
+    trace = solve(pair, SolverConfig(**_CFG, **options))
     return (trace.status, trace.iterations, trace.failure), poison.site
 
 
@@ -95,14 +92,28 @@ def test_nonfinite_projection_fails_at_the_same_iteration(config, which, value):
         expected, ref_site = _poisoned_outcome(config, which, target, value, check=True)
         got, site = _poisoned_outcome(config, which, target, value, check=False)
         assert site == ref_site is not None, (target, site, ref_site)
-        assert expected[0] in (STATUS_NUMERICAL_FAILURE, "raised")
+        assert expected[0] == STATUS_NUMERICAL_FAILURE
         assert got == expected, (target, site)
         sites.add(site)
     # every site on this set's side of the solve was poisoned at least once
-    if config == "ell-map":
+    if config.endswith("-map"):
+        # the gap at z0 projects onto X; a later MAP gap takes P_X z = z
         expected_sites = {"gap", "MAP P_X"} if which == "X" else {"gap"}
     else:
         expected_sites = {"gap", "kernel", "P_X t" if which == "X" else "P_Y n"}
         if config.endswith("-XY") and which == "X":
             expected_sites.discard("kernel")  # XY's P_X is the gap's
     assert sites == expected_sites
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("config", ["ell-XY", "mc-map"])
+def test_failed_projection_at_z0_ends_with_a_status(config):
+    (family, seed, params), options = _CONFIGS[config]
+    pair = generate(family, seed, **params)
+    _Poison(pair.X, 0, math.nan, 0, check=False)
+    trace = solve(pair, SolverConfig(**_CFG, **options))
+    assert (trace.status, trace.iterations, trace.records) == (STATUS_NUMERICAL_FAILURE, 0, [])
+    assert trace.failure == "initial point: projection produced non-finite entries"
+    assert math.isnan(trace.final_delta)
+    assert trace.total_algorithmic_projections == 0

@@ -226,7 +226,9 @@ def test_trace_delta_reaches_eps():
 def _reference_solve(pair, cfg):
     """Both drivers with every projection computed afresh: the stopping gap
     from `distance`, each step without a handed-in projection.  `columns`
-    holds each record's (centralization_ip, alpha): NaN at k = 0 and for MAP."""
+    holds each record's (centralization_ip, alpha): NaN at k = 0 and for MAP.
+    `diag` counts the projections the solver's gap evaluates: 2 per gap, but
+    1 per MAP gap after z0, which takes P_X z = z."""
     z = pair.z0.copy()
     deltas = [max(distance(pair.X, z), distance(pair.Y, z))]
     columns = [(math.nan, math.nan)]
@@ -252,7 +254,7 @@ def _reference_solve(pair, cfg):
             alg += step.algorithmic_projections
             columns.append((step.centralization_ip, alpha))
         deltas.append(max(distance(pair.X, z), distance(pair.Y, z)))
-        diag += 2
+        diag += 1 if cfg.method == "map" else 2
         if deltas[-1] <= cfg.eps:
             status, iterations = STATUS_CONVERGED, k + 1
             break
@@ -264,6 +266,12 @@ _INSTANCES = {
     "matrix_completion": (("matrix_completion", 2, {"n": 12, "rank": 2, "obs_frac": 0.5}), 1e-6),
     "wedge": (("halfspace_wedge", 3, {"n": 10, "theta": 0.5}), 1e-12),
 }
+# the ell_map workload's geometry, for MAP only
+_MAP_INSTANCES = {
+    f"ell_map_{seed}": (("ellipsoids", seed, {"n": 100, "cond": 1.5, "tangency_gap": 1e-3}), 1e-4)
+    for seed in (0, 1)
+}
+_ALL_INSTANCES = {**_INSTANCES, **_MAP_INSTANCES}
 
 _CASES = [
     pytest.param(
@@ -276,13 +284,13 @@ _CASES = [
     for schedule in (Constant(0.5), Vanishing())
 ] + [
     pytest.param(name, {"method": "map"}, id=f"{name}-map")
-    for name in ("ellipsoids", "matrix_completion")
+    for name in _ALL_INSTANCES
 ]
 
 
 @pytest.mark.parametrize("instance,options", _CASES)
 def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
-    (family, seed, params), eps = _INSTANCES[instance]
+    (family, seed, params), eps = _ALL_INSTANCES[instance]
     pair = generate(family, seed, **params)
     cfg = SolverConfig(eps=eps, max_iter=2000, **options)
     trace = solve(pair, cfg)
@@ -294,6 +302,22 @@ def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
     assert trace.records[-1].cum_proj_diag == diag
     assert (trace.status, trace.iterations) == (status, iterations)
     assert np.array_equal(trace.final_point, z)
+
+
+@pytest.mark.parametrize("instance", _ALL_INSTANCES)
+def test_map_iterates_are_x_projections(instance):
+    """The premise of MAP's one-distance gap: a MAP iterate after z0 is
+    P_X of a point, so re-projecting it onto X moves it only by rounding, and
+    dist(z, X) never decides the gap unless both distances are at that level."""
+    (family, seed, params), eps = _ALL_INSTANCES[instance]
+    pair = generate(family, seed, **params)
+    trace = solve(pair, SolverConfig(method="map", eps=eps, max_iter=2000, record_iterates=True))
+    assert trace.iterations == len(trace.iterates) - 1 > 0
+    for z in trace.iterates[1:]:
+        residual = 1e-13 * (1.0 + float(np.linalg.norm(z)))
+        dist_x, dist_y = distance(pair.X, z), distance(pair.Y, z)
+        assert dist_x <= residual
+        assert dist_x <= dist_y or dist_y <= residual
 
 
 def _count_projections(monkeypatch):
@@ -335,6 +359,7 @@ def test_one_projection_per_iteration_is_shared(monkeypatch):
     trace = solve(pair, SolverConfig(method="map", eps=1e-10))
     last = trace.records[-1]
     assert trace.status == STATUS_CONVERGED and trace.iterations > 100
-    # MAP: P_Y z from the gap, then P_X of it, then the gap at the new point
-    assert counts["ellipsoid"] == 3 * trace.iterations + 2
+    # MAP: P_Y z from the gap, then P_X of it; the gap at the new point
+    # takes P_X z = z and projects onto Y alone
+    assert counts["ellipsoid"] == 2 * trace.iterations + 2
     assert counts["ellipsoid"] == last.cum_proj_alg + last.cum_proj_diag - trace.iterations
