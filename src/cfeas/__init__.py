@@ -44,12 +44,10 @@ from .solver import (
     SolverConfig,
     Table,
     Vanishing,
-    ccrm_config,
     estimate_rate,
     estimate_rate_from_merits,
     schedule_value,
     solve,
-    solve_map,
     write_trace_csv,
 )
 

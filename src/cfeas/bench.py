@@ -6,7 +6,7 @@ import json
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from . import oracles, sampling
 from .circumcentering import circumcenter, pcrm
 from .errors import EmptyInput, InvalidSpec
-from .geometry import Ellipsoid, PsdCone, distance, project, project_psd
+from .geometry import project, project_psd
 from .operators import KernelSpec, centralize
 from .problems import GENERATORS, generate, generator_args
 from .solver import (
@@ -24,7 +24,6 @@ from .solver import (
     SolverConfig,
     Table,
     Vanishing,
-    schedule_value,
     write_trace_csv,
 )
 

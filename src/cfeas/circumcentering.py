@@ -76,7 +76,6 @@ def pcrm(
     z,
     px: Optional[np.ndarray] = None,
     py: Optional[np.ndarray] = None,
-    membership_tol: float = MEMBERSHIP_RTOL,
 ) -> np.ndarray:
     """Circumcenter of z with its two reflections across X and Y.
 
@@ -90,7 +89,7 @@ def pcrm(
         px = project(pair.X, z)
     if py is None:
         py = project(pair.Y, z)
-    tol = membership_tol * (1.0 + float(np.linalg.norm(z)))
+    tol = MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
     if float(np.linalg.norm(z - py)) <= tol:
         return px.copy()
     if float(np.linalg.norm(z - px)) <= tol:

@@ -104,9 +104,12 @@ def _parse_schedule(text: str):
 def _parse_seed_range(text: str):
     lo, _, hi = text.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
     except ValueError:
         raise InvalidSpec(f"--seed-range {text!r}: expected A..B") from None
+    if not seeds:
+        raise InvalidSpec(f"--seed-range {text!r}: empty, A must not exceed B")
+    return seeds
 
 
 def _cmd_gen(args) -> int:
@@ -212,6 +215,9 @@ def main(argv=None) -> int:
             return _cmd_oracle_check(args)
     except InvalidSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a path given on the command line cannot be used
+        print(f"usage error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except CfeasError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -65,18 +65,12 @@ KERNEL_STANDARD = KernelSpec(("X", "Y"))
 KERNEL_DEEP = KernelSpec(("Y", "X", "Y"))
 
 
-@dataclass(frozen=True)
-class StepDiagnostics:
-    centralization_ip: float
-    algorithmic_projections: int
-
-
 def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
-    """Apply the kernel's projection composition; returns (point, count).
+    """Apply the kernel's projection composition to z.
 
     `first`, if given, is the projection of z onto the set of the innermost
     token, already computed by the caller; only the remaining tokens are then
-    applied.  The count is logical: len(spec) either way.
+    applied.
 
     Each projection here is checked: after two or more of them a later one
     can overwrite a non-finite entry (the EntryMask projection rewrites the
@@ -88,7 +82,7 @@ def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
         out, tokens = as_point(first), spec.tokens[1:]
     for tok in tokens:
         out = project(pair.X if tok == "X" else pair.Y, out)
-    return out, len(spec.tokens)
+    return out
 
 
 def centralize(pair: ProblemPair, t_point, alpha: float):
@@ -114,29 +108,19 @@ def centralization_inner_product(pair: ProblemPair, z) -> float:
     return float((z - px) @ (z - py))
 
 
-def is_strictly_centralized(
-    pair: ProblemPair, z, tol: float = STRICT_CENTRALIZATION_RTOL
-) -> bool:
+def is_strictly_centralized(pair: ProblemPair, z) -> bool:
     z = as_point(z)
     ip = centralization_inner_product(pair, z)
-    return ip < -tol * (1.0 + float(z @ z))
+    return ip < -STRICT_CENTRALIZATION_RTOL * (1.0 + float(z @ z))
 
 
-def circumcentered_step(
-    pair: ProblemPair,
-    z,
-    alpha: float,
-    spec: KernelSpec,
-    membership_tol: float = MEMBERSHIP_RTOL,
-    strict_tol: float = STEP_COSINE_TOL,
-    first=None,
-):
+def circumcentered_step(pair: ProblemPair, z, alpha: float, spec: KernelSpec, first=None):
     """One solver step: kernel, centralizer, circumcentered reflections.
 
-    Counts len(spec) + 2 projections: the kernel plus P_X(t) and P_Y(n).  The
-    count is logical: when `first` (z projected onto the set of the kernel's
-    innermost token) is handed in, as the solver does with the projection its
-    stopping gap already made, the step evaluates one projection fewer.  The
+    Returns (next point, <n - P_X n, n - P_Y n>).  The step applies the
+    kernel plus P_X(t) and P_Y(n); when `first` (z projected onto the set of
+    the kernel's innermost token) is handed in, as the solver does with the
+    projection its stopping gap already made, the kernel skips that one.  The
     X-reflection of n reuses px_t.  When n is not strictly centralized it lies
     in Y (up to tolerance) and the step reduces to P_X n = px_t.
 
@@ -144,7 +128,7 @@ def circumcentered_step(
     when <n - P_X n, n - P_Y n> is not finite, since a non-finite entry in
     either would otherwise turn `strict` False and be replaced by px_t.
     """
-    t_point, kernel_count = apply_kernel(spec, pair, z, first)
+    t_point = apply_kernel(spec, pair, z, first)
     n_point, px_t = centralize(pair, t_point, alpha)
     py_n = pair.Y._project(n_point)
     dx = n_point - px_t
@@ -153,8 +137,8 @@ def circumcentered_step(
     if not math.isfinite(ip):
         raise NonconvergedProjection("projection produced non-finite entries")
     # cosine test: strict iff the displacement angle is genuinely obtuse
-    strict = ip < -strict_tol * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
-    in_y = float(np.linalg.norm(dy)) <= membership_tol * (
+    strict = ip < -STEP_COSINE_TOL * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
+    in_y = float(np.linalg.norm(dy)) <= MEMBERSHIP_RTOL * (
         1.0 + float(np.linalg.norm(n_point))
     )
     if in_y or not strict:
@@ -165,8 +149,4 @@ def circumcentered_step(
         except DegenerateCircumcenter:
             # reflections numerically collinear with n: fall back to P_X n
             nxt = px_t.copy()
-    diag = StepDiagnostics(
-        centralization_ip=ip,
-        algorithmic_projections=kernel_count + 2,
-    )
-    return nxt, diag
+    return nxt, ip

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import CfeasError
 from .geometry import Ellipsoid, Halfspace, ProblemPair, as_point, project
+from .sampling import make_rng
 
 
 def ellipsoid_bisection(
@@ -66,7 +67,7 @@ def psd_nearest_descent(m: np.ndarray, seed: int = 0) -> np.ndarray:
     n = m.shape[0]
     sym = 0.5 * (m + m.T)
     scale = max(1.0, float(np.linalg.norm(sym)))
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = make_rng(seed)
     l0 = math.sqrt(scale) * rng.standard_normal((n, n)) / math.sqrt(n)
 
     def fun(flat):

@@ -173,12 +173,11 @@ GENERATORS = {
     ),
     "halfspace_wedge": (gen_halfspace_wedge, (("n", operator.index, None), ("theta", float, None))),
 }
-_FAMILY_ALIASES = {"matrix-completion": "matrix_completion", "wedge": "halfspace_wedge"}
 
 
 def _generator(family: str):
     try:
-        return GENERATORS[_FAMILY_ALIASES.get(family, family)]
+        return GENERATORS[family]
     except (KeyError, TypeError):
         raise InvalidSpec(f"unknown family {family!r}") from None
 

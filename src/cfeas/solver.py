@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import List, Optional, Union
 
 import numpy as np
@@ -18,19 +18,13 @@ from .errors import (
     NonconvergedProjection,
 )
 from .geometry import (
-    MEMBERSHIP_RTOL,
     ProblemPair,
     as_point,
     distance,  # noqa: F401  not called here; perfbench/tracer.py wraps this name
     project,  # noqa: F401  not called here; perfbench/tracer.py wraps this name
     stopping_gap,
 )
-from .operators import (
-    KERNEL_STANDARD,
-    STEP_COSINE_TOL,
-    KernelSpec,
-    circumcentered_step,
-)
+from .operators import KERNEL_STANDARD, KernelSpec, circumcentered_step
 
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
@@ -88,13 +82,14 @@ def schedule_value(schedule: StepSchedule, k: int) -> float:
 
 @dataclass
 class SolverConfig:
+    """What to run; the defaults are classical cCRM: kernel P_Y P_X with
+    constant alpha = 1/2."""
+
     method: str = "crm"  # "crm" (circumcentered) | "map" (alternating projections)
     kernel: KernelSpec = KERNEL_STANDARD
     schedule: StepSchedule = Constant(0.5)
     eps: float = 1e-10
     max_iter: int = 100_000
-    membership_tol: float = MEMBERSHIP_RTOL
-    strict_tol: float = STEP_COSINE_TOL
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -104,12 +99,6 @@ class SolverConfig:
             raise InvalidSpec("max_iter must be >= 1")
         if self.method not in ("crm", "map"):
             raise InvalidSpec(f"unknown method {self.method!r}")
-
-
-def ccrm_config(**overrides) -> SolverConfig:
-    """Classical fixed-step variant: kernel P_Y P_X with constant alpha = 1/2."""
-    cfg = SolverConfig(method="crm", kernel=KERNEL_STANDARD, schedule=Constant(0.5))
-    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,9 +118,13 @@ class SolveTrace:
     records: List[IterationRecord]
     status: str
     final_point: np.ndarray
-    iterations: int
     iterates: Optional[List[np.ndarray]] = None
     failure: Optional[str] = None
+
+    @property
+    def iterations(self) -> int:
+        """Steps taken: the last record's k, 0 for a run that failed at z0."""
+        return self.records[-1].k if self.records else 0
 
     @property
     def deltas(self) -> np.ndarray:
@@ -203,17 +196,14 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     try:
         delta, px, py = stopping_gap(pair, z)
     except _FAILURES as exc:
-        return SolveTrace(
-            records, STATUS_NUMERICAL_FAILURE, z, 0, iterates, f"initial point: {exc}"
-        )
+        return SolveTrace(records, STATUS_NUMERICAL_FAILURE, z, iterates, f"initial point: {exc}")
     cum_diag += 2
     snapshot(0, delta, math.nan, math.nan)
     if delta <= cfg.eps:
-        return SolveTrace(records, STATUS_CONVERGED, z, 0, iterates)
+        return SolveTrace(records, STATUS_CONVERGED, z, iterates)
 
     status = STATUS_MAX_ITER
     failure = None
-    iterations = cfg.max_iter
     crm = cfg.method == "crm"
     lead_x = cfg.kernel.tokens[0] == "X"
     ip = alpha = math.nan
@@ -221,17 +211,8 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
         try:
             if crm:
                 alpha = schedule_value(cfg.schedule, k)
-                z, diag = circumcentered_step(
-                    pair,
-                    z,
-                    alpha,
-                    cfg.kernel,
-                    membership_tol=cfg.membership_tol,
-                    strict_tol=cfg.strict_tol,
-                    first=px if lead_x else py,
-                )
-                cum_alg += diag.algorithmic_projections
-                ip = diag.centralization_ip
+                z, ip = circumcentered_step(pair, z, alpha, cfg.kernel, px if lead_x else py)
+                cum_alg += len(cfg.kernel) + 2
                 delta, px, py = stopping_gap(pair, z)
                 cum_diag += 2
             else:
@@ -242,21 +223,14 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
         except _FAILURES as exc:
             status = STATUS_NUMERICAL_FAILURE
             failure = f"iteration {k}: {exc}"
-            iterations = k
             break
         if iterates is not None:
             iterates.append(z.copy())
         snapshot(k + 1, delta, ip, alpha)
         if delta <= cfg.eps:
             status = STATUS_CONVERGED
-            iterations = k + 1
             break
-    return SolveTrace(records, status, z, iterations, iterates, failure)
-
-
-def solve_map(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
-    """Alternating-projections baseline z_{k+1} = P_X(P_Y(z_k)); see `solve`."""
-    return solve(pair, replace(cfg, method="map"))
+    return SolveTrace(records, status, z, iterates, failure)
 
 
 @dataclass
@@ -360,26 +334,25 @@ def read_trace_csv(path) -> SolveTrace:
     """Inverse of write_trace_csv for the columns it writes.
 
     The CSV does not hold the centralization inner product, the status or the
-    final point: they read back as NaN, "unknown" and None.
+    final point: they read back as NaN, "unknown" and None.  A file that is
+    not such a CSV raises InvalidSpec naming it.
     """
     records = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(
-                IterationRecord(
-                    k=int(row["k"]),
-                    delta=float(row["delta"]),
-                    dist_sref=float(row["dist_sref"]) if row["dist_sref"] else None,
-                    centralization_ip=math.nan,
-                    alpha=float(row["alpha"]) if row["alpha"] else math.nan,
-                    cum_proj_alg=int(row["cum_proj_alg"]),
-                    cum_proj_diag=int(row["cum_proj_diag"]),
-                    wall_ns=int(row["wall_ns"]),
+    try:
+        with open(path, newline="") as fh:
+            for row in csv.DictReader(fh):
+                records.append(
+                    IterationRecord(
+                        k=int(row["k"]),
+                        delta=float(row["delta"]),
+                        dist_sref=float(row["dist_sref"]) if row["dist_sref"] else None,
+                        centralization_ip=math.nan,
+                        alpha=float(row["alpha"]) if row["alpha"] else math.nan,
+                        cum_proj_alg=int(row["cum_proj_alg"]),
+                        cum_proj_diag=int(row["cum_proj_diag"]),
+                        wall_ns=int(row["wall_ns"]),
+                    )
                 )
-            )
-    return SolveTrace(
-        records=records,
-        status="unknown",
-        final_point=None,
-        iterations=records[-1].k if records else 0,
-    )
+    except (KeyError, TypeError, ValueError, csv.Error) as exc:
+        raise InvalidSpec(f"trace {path}: not a trace CSV ({exc!r})") from None
+    return SolveTrace(records=records, status="unknown", final_point=None)

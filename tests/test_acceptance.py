@@ -194,7 +194,7 @@ def test_criterion_3_centralization_invariant():
         )
         z = rng.standard_normal(dim) * 4.0
         alpha = float(rng.uniform(0.05, 0.95))
-        t, _ = apply_kernel(KERNEL_STANDARD, pair, z)
+        t = apply_kernel(KERNEL_STANDARD, pair, z)
         n, _ = centralize(pair, t, alpha)
         ip = centralization_inner_product(pair, n)
         scale = (1.0 + float(np.linalg.norm(n))) ** 2

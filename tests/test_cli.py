@@ -295,6 +295,7 @@ def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, 
 
 
 _SOLVE = ["solve", "--family", "ellipsoids", "--n", "10"]
+_WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
 
 
 @pytest.mark.parametrize(
@@ -311,6 +312,12 @@ _SOLVE = ["solve", "--family", "ellipsoids", "--n", "10"]
         (_SOLVE + ["--max-iter", "0"], ["max_iter"]),
         (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
         (["bench"], ["--config"]),
+        (["oracle-check", "invariants", "--seed-range", "5..3"], ["--seed-range", "'5..3'"]),
+        (["plotdata", "--run-dir", "nosuch", "--out", "p.csv"], ["nosuch"]),
+        (["plotdata", "--run-dir", "runs", "--out", "p.csv"], ["trace_bad.csv", "not a trace"]),
+        (["gen", *_WEDGE, "--out", "nodir/inst.json"], ["nodir/inst.json"]),
+        (["solve", *_WEDGE, "--trace-out", "nodir/t.csv"], ["nodir/t.csv"]),
+        (["bench", "--config", "cfg.json", "--out", "binary.json"], ["binary.json"]),
     ],
     ids=[
         "empty_table",
@@ -324,11 +331,23 @@ _SOLVE = ["solve", "--family", "ellipsoids", "--n", "10"]
         "zero_max_iter",
         "solve_without_instance",
         "bench_without_config",
+        "empty_seed_range",
+        "missing_run_dir",
+        "trace_not_csv",
+        "gen_out_dir_missing",
+        "trace_out_dir_missing",
+        "bench_out_is_a_file",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "runs").mkdir()
+    (tmp_path / "runs" / "trace_bad.csv").write_text("k,delta\n0,abc\n")
+    (tmp_path / "cfg.json").write_text(
+        json.dumps({"generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
+                    "methods": [{"name": "crm"}], "seeds": [0]})
+    )
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE

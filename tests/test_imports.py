@@ -1,8 +1,10 @@
-"""The package, its command line and its bench load without scipy.
+"""The package, its command line and its bench load without scipy, and no
+module imports a name it never uses.
 
 scipy serves one test oracle only; importing it with the package would cost
 more than the rest of the import together.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -18,3 +20,31 @@ def test_import_path_leaves_scipy_out():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == "False"
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, except on `# noqa: F401` lines."""
+    with open(path) as fh:
+        text = fh.read()
+    lines = text.splitlines()
+    tree = ast.parse(text)
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports_in_the_package():
+    package = os.path.join(SRC, "cfeas")
+    unused = {
+        name: _unused_imports(os.path.join(package, name))
+        for name in sorted(os.listdir(package))
+        if name.endswith(".py") and name != "__init__.py"
+    }
+    assert {name: found for name, found in unused.items() if found} == {}
