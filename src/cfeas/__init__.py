@@ -1,6 +1,6 @@
 """Circumcentered-reflection solvers for two-set convex feasibility problems."""
 
-from .circumcentering import CircumcenterResult, circumcenter, pcrm
+from .circumcentering import circumcenter
 from .geometry import (
     Ball,
     Box,
@@ -26,6 +26,7 @@ from .operators import (
     centralize,
     circumcentered_step,
     is_strictly_centralized,
+    pcrm,
 )
 from .problems import (
     gen_ellipsoids,

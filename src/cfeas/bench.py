@@ -12,10 +12,10 @@ from typing import List, Optional
 import numpy as np
 
 from . import oracles, sampling
-from .circumcentering import circumcenter, pcrm
+from .circumcentering import circumcenter
 from .errors import EmptyInput, InvalidSpec
 from .geometry import project, project_psd
-from .operators import KernelSpec, centralize
+from .operators import KernelSpec, centralize, pcrm
 from .problems import GENERATORS, generate, generator_args
 from .solver import (
     STATUS_NUMERICAL_FAILURE,
@@ -346,7 +346,7 @@ def _check_projections(seeds) -> list:
     return failures
 
 
-def _check_circumcenter(seeds, perturb: float = 0.0) -> list:
+def _check_circumcenter(seeds) -> list:
     failures = []
     for seed in seeds:
         rng = sampling.make_rng(2000 + seed)
@@ -354,7 +354,7 @@ def _check_circumcenter(seeds, perturb: float = 0.0) -> list:
         z = sampling.random_point(dim, rng)
         v = sampling.random_point(dim, rng)
         w = sampling.random_point(dim, rng)
-        c = circumcenter(z, v, w).center + perturb
+        c = circumcenter(z, v, w)
         equi, span = oracles.circumcenter_residuals(z, v, w, c)
         scale = 1.0 + float(np.linalg.norm(z))
         if equi > 1e-9 * scale or span > 1e-9 * scale:
@@ -375,7 +375,7 @@ def _check_circumcenter(seeds, perturb: float = 0.0) -> list:
         )
         y = project(pair.Y, sampling.random_point(dim, rng))
         n, _ = centralize(pair, y, float(rng.uniform(0.2, 0.8)))
-        got = pcrm(pair, n)
+        got, _ = pcrm(pair, n)
         want = oracles.supporting_halfspace_projection(pair, n)
         err = float(np.linalg.norm(got - want))
         if err > 1e-8 * (1.0 + np.linalg.norm(want)):

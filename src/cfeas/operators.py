@@ -1,4 +1,4 @@
-"""Admissible kernels, the step-size centralizer, and one circumcentered step.
+"""Admissible kernels, the step-size centralizer, and the circumcentered step.
 
 A kernel is an ordered composition of the two set projections whose outermost
 factor is P_Y, so its image lies in Y and it is quasi-nonexpansive relative to
@@ -19,12 +19,8 @@ from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, project
 
 _TOKENS = ("X", "Y")
 
-# Diagnostic predicate scale: ip < -tol * (1 + ||z||^2).
-STRICT_CENTRALIZATION_RTOL = 1e-12
-
-# The step's internal branch instead compares the inner product against the
-# product of the displacement norms (a cosine test): the inner product itself
-# shrinks like gap^2, so any fixed absolute scale would disable the
+# Strictness is a cosine test, ip < -tol * ||dx|| ||dy||: the inner product
+# itself shrinks like gap^2, so any fixed absolute scale would disable the
 # circumcenter acceleration long before tight tolerances are reached.
 STEP_COSINE_TOL = 1e-8
 
@@ -90,7 +86,7 @@ def centralize(pair: ProblemPair, t_point, alpha: float):
 
     Since the result lies on the segment [t, P_X t], its X-projection equals
     px_t; callers must reuse px_t instead of re-projecting.  P_X t is not
-    checked for finiteness; `circumcentered_step` checks its inner product.
+    checked for finiteness; `pcrm` checks its inner product.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
@@ -108,45 +104,59 @@ def centralization_inner_product(pair: ProblemPair, z) -> float:
     return float((z - px) @ (z - py))
 
 
+def _strictly_centralized(dx, dy, ip: float) -> bool:
+    """Whether the angle between z - P_X z and z - P_Y z is genuinely obtuse."""
+    return ip < -STEP_COSINE_TOL * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
+
+
 def is_strictly_centralized(pair: ProblemPair, z) -> bool:
+    """The strictness test `pcrm` applies, from two checked projections."""
     z = as_point(z)
-    ip = centralization_inner_product(pair, z)
-    return ip < -STRICT_CENTRALIZATION_RTOL * (1.0 + float(z @ z))
+    dx = z - project(pair.X, z)
+    dy = z - project(pair.Y, z)
+    return _strictly_centralized(dx, dy, float(dx @ dy))
+
+
+def pcrm(pair: ProblemPair, z, px=None, py=None):
+    """Circumcenter of z with its two reflections across X and Y.
+
+    Returns (next point, <z - P_X z, z - P_Y z>).  At a strictly centralized
+    z outside Y the circumcenter is the projection onto the two supporting
+    halfspaces at P_X z and P_Y z; otherwise, and when the reflections are
+    numerically collinear with z, the result is P_X z.
+
+    `px`/`py`, when handed in, are not checked; a non-finite entry in either
+    raises NonconvergedProjection through the inner product, where it would
+    otherwise fail the strictness test and be replaced by P_X z.
+    """
+    z = as_point(z)
+    if px is None:
+        px = project(pair.X, z)
+    if py is None:
+        py = project(pair.Y, z)
+    dx = z - px
+    dy = z - py
+    ip = float(dx @ dy)
+    if not math.isfinite(ip):
+        raise NonconvergedProjection("projection produced non-finite entries")
+    in_y = float(np.linalg.norm(dy)) <= MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
+    if in_y or not _strictly_centralized(dx, dy, ip):
+        return px.copy(), ip
+    try:
+        # z + 2(P - z), not 2P - z: the two round differently and move traces
+        return circumcenter(z, z + 2.0 * -dx, z + 2.0 * -dy), ip
+    except DegenerateCircumcenter:
+        return px.copy(), ip
 
 
 def circumcentered_step(pair: ProblemPair, z, alpha: float, spec: KernelSpec, first=None):
-    """One solver step: kernel, centralizer, circumcentered reflections.
+    """One solver step: kernel, centralizer, then `pcrm` at the centralized n.
 
     Returns (next point, <n - P_X n, n - P_Y n>).  The step applies the
     kernel plus P_X(t) and P_Y(n); when `first` (z projected onto the set of
     the kernel's innermost token) is handed in, as the solver does with the
-    projection its stopping gap already made, the kernel skips that one.  The
-    X-reflection of n reuses px_t.  When n is not strictly centralized it lies
-    in Y (up to tolerance) and the step reduces to P_X n = px_t.
-
-    P_X t and P_Y n are unchecked; the step raises NonconvergedProjection
-    when <n - P_X n, n - P_Y n> is not finite, since a non-finite entry in
-    either would otherwise turn `strict` False and be replaced by px_t.
+    projection its stopping gap already made, the kernel skips that one.
     """
     t_point = apply_kernel(spec, pair, z, first)
     n_point, px_t = centralize(pair, t_point, alpha)
-    py_n = pair.Y._project(n_point)
-    dx = n_point - px_t
-    dy = n_point - py_n
-    ip = float(dx @ dy)
-    if not math.isfinite(ip):
-        raise NonconvergedProjection("projection produced non-finite entries")
-    # cosine test: strict iff the displacement angle is genuinely obtuse
-    strict = ip < -STEP_COSINE_TOL * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
-    in_y = float(np.linalg.norm(dy)) <= MEMBERSHIP_RTOL * (
-        1.0 + float(np.linalg.norm(n_point))
-    )
-    if in_y or not strict:
-        nxt = px_t.copy()
-    else:
-        try:
-            nxt = circumcenter(n_point, n_point + 2.0 * -dx, n_point + 2.0 * -dy).center
-        except DegenerateCircumcenter:
-            # reflections numerically collinear with n: fall back to P_X n
-            nxt = px_t.copy()
-    return nxt, ip
+    return pcrm(pair, n_point, px_t, pair.Y._project(n_point))

@@ -235,8 +235,6 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
 
 @dataclass
 class RateEstimate:
-    q_ratios: np.ndarray
-    tail_mean: float
     classification: str
     rho: Optional[float] = None
 
@@ -265,24 +263,19 @@ def estimate_rate_from_merits(merits) -> RateEstimate:
     idx = [k for k in idx if k >= burn]
     ratios = np.array([m[k + 1] / m[k] for k in idx])
 
-    if ratios.size == 0:
-        return RateEstimate(ratios, math.nan, CLASS_INCONCLUSIVE)
-    tail = ratios[-min(10, ratios.size):]
-    tail_mean = float(np.exp(np.mean(np.log(tail))))
-
     last5 = ratios[-5:]
     if (
         last5.size == 5
         and np.all(np.diff(last5) < 0.0)
         and last5[-1] < 0.1
     ):
-        return RateEstimate(ratios, tail_mean, CLASS_SUPERLINEAR)
+        return RateEstimate(CLASS_SUPERLINEAR)
     if ratios.size >= 10:
         last10 = ratios[-10:]
         rho = float(np.exp(np.mean(np.log(last10))))
         if np.all(last10 >= 0.8 * rho) and np.all(last10 <= 1.2 * rho):
-            return RateEstimate(ratios, tail_mean, CLASS_LINEAR, rho=rho)
-    return RateEstimate(ratios, tail_mean, CLASS_INCONCLUSIVE)
+            return RateEstimate(CLASS_LINEAR, rho=rho)
+    return RateEstimate(CLASS_INCONCLUSIVE)
 
 
 def estimate_rate(trace: SolveTrace, merit: str = "delta") -> RateEstimate:

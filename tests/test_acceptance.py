@@ -23,7 +23,7 @@ import pytest
 
 import cfeas
 from cfeas.bench import oracle_check
-from cfeas.circumcentering import circumcenter, pcrm
+from cfeas.circumcentering import circumcenter
 from cfeas.errors import InsufficientTrace
 from cfeas.geometry import (
     Ball,
@@ -45,6 +45,7 @@ from cfeas.operators import (
     centralization_inner_product,
     circumcentered_step,
     is_strictly_centralized,
+    pcrm,
 )
 from cfeas.oracles import (
     circumcenter_residuals,
@@ -131,11 +132,11 @@ def test_criterion_2_circumcenter_correctness():
         dim = int(rng.integers(2, 11))
         z, v, w = (rng.standard_normal(dim) for _ in range(3))
         try:
-            res = circumcenter(z, v, w)
+            c = circumcenter(z, v, w)
         except cfeas.circumcentering.DegenerateCircumcenter:
             continue
         produced += 1
-        equi, span = circumcenter_residuals(z, v, w, res.center)
+        equi, span = circumcenter_residuals(z, v, w, c)
         scale = 1.0 + max(map(np.linalg.norm, (z, v, w)))
         worst_geom = max(worst_geom, equi / scale, span / scale)
 
@@ -158,7 +159,7 @@ def test_criterion_2_circumcenter_correctness():
         if float((z - px) @ (z - py)) >= -1e-10:
             continue
         strict += 1
-        got = pcrm(pair, z, px=px, py=py)
+        got, _ = pcrm(pair, z, px=px, py=py)
         want = supporting_halfspace_projection(pair, z, px=px, py=py)
         worst_qp = max(
             worst_qp, np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))

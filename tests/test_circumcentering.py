@@ -1,10 +1,13 @@
 """Circumcenter of a point and its two reflections, and the PCRM operator."""
+import math
+
 import numpy as np
 import pytest
 
-from cfeas.circumcentering import circumcenter, pcrm
+from cfeas.circumcentering import circumcenter
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
+from cfeas.operators import centralize, is_strictly_centralized, pcrm
 from cfeas.oracles import circumcenter_residuals, supporting_halfspace_projection
 from cfeas.sampling import make_rng
 
@@ -16,10 +19,8 @@ def test_equidistance_and_span_random_triples():
         z = rng.standard_normal(dim)
         v = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
-        res = circumcenter(z, v, w)
-        if res.case != "full_rank":
-            continue
-        eq, span = circumcenter_residuals(z, v, w, res.center)
+        c = circumcenter(z, v, w)
+        eq, span = circumcenter_residuals(z, v, w, c)
         scale = 1.0 + max(np.linalg.norm(z), np.linalg.norm(v), np.linalg.norm(w))
         assert eq <= 1e-9 * scale
         assert span <= 1e-9 * scale
@@ -27,17 +28,13 @@ def test_equidistance_and_span_random_triples():
 
 def test_all_points_coincident():
     z = np.array([1.0, 2.0])
-    res = circumcenter(z, z.copy(), z.copy())
-    assert res.case == "all_coincident"
-    assert np.allclose(res.center, z)
+    assert np.allclose(circumcenter(z, z.copy(), z.copy()), z)
 
 
 def test_one_pair_coincident_gives_midpoint():
     z = np.array([0.0, 0.0])
     v = np.array([2.0, 0.0])
-    res = circumcenter(z, v, z.copy())
-    assert res.case == "coincident_pair"
-    assert np.allclose(res.center, [1.0, 0.0])
+    assert np.allclose(circumcenter(z, v, z.copy()), [1.0, 0.0])
 
 
 def test_collinear_distinct_points_degenerate():
@@ -53,8 +50,7 @@ def test_planar_triangle_matches_analytic_circumcenter():
     z = np.array([0.0, 0.0])
     v = np.array([4.0, 0.0])
     w = np.array([0.0, 2.0])
-    res = circumcenter(z, v, w)
-    assert np.allclose(res.center, [2.0, 1.0], atol=1e-12)
+    assert np.allclose(circumcenter(z, v, w), [2.0, 1.0], atol=1e-12)
 
 
 def test_circumcenter_embeds_in_higher_dimension():
@@ -64,17 +60,41 @@ def test_circumcenter_embeds_in_higher_dimension():
     w2 = np.array([0.0, 2.0])
     q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
     shift = rng.standard_normal(7)
-    res = circumcenter(q @ z2 + shift, q @ v2 + shift, q @ w2 + shift)
-    assert np.allclose(res.center, q @ np.array([2.0, 1.0]) + shift, atol=1e-10)
+    c = circumcenter(q @ z2 + shift, q @ v2 + shift, q @ w2 + shift)
+    assert np.allclose(c, q @ np.array([2.0, 1.0]) + shift, atol=1e-10)
 
 
-def test_pcrm_orthogonal_halfspaces():
-    # X = {x <= 0}, Y = {y <= 0}; from (1,1) the circumcenter lands at origin
+def _wedge(normal_y):
     X = Halfspace(np.array([1.0, 0.0]), 0.0)
-    Y = Halfspace(np.array([0.0, 1.0]), 0.0)
-    pair = ProblemPair(X=X, Y=Y, z0=np.array([1.0, 1.0]))
-    out = pcrm(pair, np.array([1.0, 1.0]))
+    Y = Halfspace(np.asarray(normal_y, dtype=float), 0.0)
+    return ProblemPair(X=X, Y=Y, z0=np.array([1.0, 1.0]))
+
+
+def test_pcrm_obtuse_wedge_reaches_apex():
+    # X = {x1 <= 0}, Y = {-0.6 x1 + 0.8 x2 <= 0}: (1, 1) lies in the normal
+    # cone of X ∩ Y at the origin, and both reflections keep its norm
+    pair = _wedge([-0.6, 0.8])
+    out, ip = pcrm(pair, np.array([1.0, 1.0]))
     assert np.allclose(out, [0.0, 0.0], atol=1e-12)
+    assert ip == pytest.approx(-0.12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "eps, strict",
+    [(0.0, False), (1e-12, False), (1e-10, False), (1e-9, False),
+     (1e-7, True), (1e-3, True), (0.3, True)],
+)
+def test_pcrm_takes_px_exactly_when_not_strictly_centralized(eps, strict):
+    # Y's normal turns eps past X's orthogonal one; the displacement cosine
+    # at (1, 1) is about -eps, against the strictness threshold 1e-8
+    pair = _wedge([-math.sin(eps), math.cos(eps)])
+    z = np.array([1.0, 1.0])
+    out, _ = pcrm(pair, z)
+    assert is_strictly_centralized(pair, z) == strict
+    if strict:
+        assert np.allclose(out, [0.0, 0.0], atol=1e-12)
+    else:
+        assert np.array_equal(out, project(pair.X, z))
 
 
 def test_pcrm_in_y_reduces_to_px():
@@ -82,15 +102,13 @@ def test_pcrm_in_y_reduces_to_px():
     Y = Halfspace(np.array([0.0, 0.0, 1.0]), 5.0)
     pair = ProblemPair(X=X, Y=Y, z0=np.zeros(3))
     z = np.array([3.0, 0.0, 0.0])  # already in Y
-    out = pcrm(pair, z)
+    out, _ = pcrm(pair, z)
     assert np.allclose(out, project(pair.X, z), atol=1e-12)
 
 
 def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
     # the centralizer output is always centralized, so it feeds the identity
     # PCRM(z) = P over the intersection of the two supporting halfspaces
-    from cfeas.operators import centralize
-
     rng = make_rng(9)
     strict = 0
     for _ in range(500):
@@ -109,7 +127,7 @@ def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
         py = project(pair.Y, z)
         if float((z - px) @ (z - py)) < -1e-10:
             strict += 1
-        out = pcrm(pair, z, px=px, py=py)
+        out, _ = pcrm(pair, z, px=px, py=py)
         ref = supporting_halfspace_projection(pair, z, px=px, py=py)
         assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
     assert strict >= 50

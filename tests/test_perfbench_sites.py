@@ -26,3 +26,23 @@ def test_every_tracer_patch_site_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_step_reaches_the_patched_circumcenter(monkeypatch):
+    # the tracer's circumcentering layer counts calls through this name; on
+    # matrix completion every cCRM step takes the circumcenter branch
+    import cfeas.operators
+    from cfeas.problems import gen_matrix_completion
+    from cfeas.solver import SolverConfig, solve
+
+    calls = []
+    inner = cfeas.operators.circumcenter
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(cfeas.operators, "circumcenter", counted)
+    trace = solve(gen_matrix_completion(12, 2, 0.5, seed=0), SolverConfig(eps=1e-6))
+    assert trace.iterations > 0
+    assert len(calls) == trace.iterations

@@ -45,7 +45,7 @@ def test_circumcenter_is_equidistant_from_its_inputs(case):
     g11, g22, g12 = d1 @ d1, d2 @ d2, d1 @ d2
     assume(g11 * g22 - g12 * g12 >= MIN_SIN2 * g11 * g22)
     v, w = z + d1, z + d2
-    c = circumcenter(z, v, w).center
+    c = circumcenter(z, v, w)
     dist = [float(np.linalg.norm(c - p)) for p in (z, v, w)]
     assert max(dist) - min(dist) <= EQUIDISTANCE_RTOL * max(dist)
 
