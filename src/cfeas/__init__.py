@@ -15,7 +15,6 @@ from .geometry import (
     project,
     project_ellipsoid_multiplier,
     project_psd,
-    reflect,
 )
 from .operators import (
     KERNEL_BASIC,

@@ -1,6 +1,8 @@
 """Circumcenter of three points."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DegenerateCircumcenter
@@ -17,6 +19,9 @@ def circumcenter(z, v, w) -> np.ndarray:
     c = z + a (v - z) + b (w - z).  Coincident inputs fall back to midpoints;
     distinct collinear triples have no equidistant point in their span and
     raise DegenerateCircumcenter.
+
+    Each norm is computed once, as math.sqrt(float(v.dot(v))), the bits of
+    numpy's 1-D norm; ||v - z||^2 and ||w - z||^2 are also the Gram diagonal.
     """
     z, v, w = as_point(z), as_point(v), as_point(w)
     if not (z.shape == v.shape == w.shape):
@@ -25,14 +30,17 @@ def circumcenter(z, v, w) -> np.ndarray:
     d2 = w - z
     scale = max(
         1.0,
-        float(np.linalg.norm(z)),
-        float(np.linalg.norm(v)),
-        float(np.linalg.norm(w)),
+        math.sqrt(float(z.dot(z))),
+        math.sqrt(float(v.dot(v))),
+        math.sqrt(float(w.dot(w))),
     )
     tiny = 1e-14 * scale
-    n1 = float(np.linalg.norm(d1))
-    n2 = float(np.linalg.norm(d2))
-    nvw = float(np.linalg.norm(v - w))
+    g11 = float(d1.dot(d1))
+    g22 = float(d2.dot(d2))
+    n1 = math.sqrt(g11)
+    n2 = math.sqrt(g22)
+    vw = v - w
+    nvw = math.sqrt(float(vw.dot(vw)))
     if n1 <= tiny and n2 <= tiny:
         return z.copy()
     if nvw <= tiny:
@@ -42,9 +50,7 @@ def circumcenter(z, v, w) -> np.ndarray:
     if n2 <= tiny:
         return 0.5 * (z + v)
 
-    g11 = float(d1 @ d1)
-    g22 = float(d2 @ d2)
-    g12 = float(d1 @ d2)
+    g12 = float(d1.dot(d2))
     det = g11 * g22 - g12 * g12
     gnorm2 = g11 * g11 + 2.0 * g12 * g12 + g22 * g22
     if det <= _GRAM_DET_RTOL * gnorm2:

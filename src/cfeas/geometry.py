@@ -1,4 +1,4 @@
-"""Catalog of closed convex sets with metric projections, distances, reflections.
+"""Catalog of closed convex sets with metric projections and distances.
 
 Points are plain 1-D float arrays.  Sets of symmetric n x n matrices operate
 on length-n^2 row-major vectors; the projections re-enforce symmetry so the
@@ -53,10 +53,10 @@ class Halfspace:
 
     def _project(self, z: np.ndarray) -> np.ndarray:
         a = self.normal
-        viol = float(a @ z) - self.offset
+        viol = float(a.dot(z)) - self.offset
         if viol <= 0.0:
             return z.copy()
-        return z - (viol / float(a @ a)) * a
+        return z - (viol / float(a.dot(a))) * a
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class Ball:
 
     def _project(self, z: np.ndarray) -> np.ndarray:
         u = z - self.center
-        r = float(np.linalg.norm(u))
+        r = math.sqrt(float(u.dot(u)))
         if r <= self.radius:
             return z.copy()
         return self.center + (self.radius / r) * u
@@ -245,14 +245,14 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     for _ in range(_ELLIPSOID_MAX_ITER):
         w = 1.0 / (1.0 + lam * d)
         w2 = w * w
-        S = float(du2 @ w2)
+        S = float(du2.dot(w2))
         if abs(S - 1.0) <= _ELLIPSOID_RESIDUAL_TOL:
             break
         if S > 1.0:
             lo = lam
         else:
             hi = lam
-        T = float(d2u2 @ (w2 * w))
+        T = float(d2u2.dot(w2 * w))
         step = lam + (S * math.sqrt(S) - S) / T
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     else:
@@ -297,11 +297,6 @@ def distance(set_: SetDescriptor, z) -> float:
     return float(np.linalg.norm(z - project(set_, z)))
 
 
-def reflect(set_: SetDescriptor, z) -> np.ndarray:
-    z = as_point(z)
-    return 2.0 * project(set_, z) - z
-
-
 def contains(set_: SetDescriptor, z, rtol: float = MEMBERSHIP_RTOL) -> bool:
     z = as_point(z)
     return distance(set_, z) <= rtol * (1.0 + float(np.linalg.norm(z)))
@@ -336,10 +331,12 @@ class ProblemPair:
 def stopping_gap(pair: ProblemPair, z, px=None):
     """(gap, P_X z, P_Y z) with gap = max{dist(z, X), dist(z, Y)}.
 
-    The gap is the stopping merit, with the bits `distance` gives (numpy's
-    1-D norm is sqrt(r @ r)); the two projections are returned so that the
-    next step can reuse one of them.  z must be a 1-D float array of the
-    pair's dimension, as the solver's iterates are; `gap` checks outside input.
+    The gap is the stopping merit, with the bits `distance` gives: each
+    distance is math.sqrt(float(r.dot(r))), and numpy's 1-D real norm is
+    sqrt(r.dot(r)) on the same BLAS dot, with both square roots correctly
+    rounded.  The two projections are returned so that the next step can
+    reuse one of them.  z must be a 1-D float array of the pair's dimension,
+    as the solver's iterates are; `gap` checks outside input.
 
     A caller that already holds P_X z hands it in as `px` and X is not
     projected again.  `px is z` says that z is itself an X-projection (MAP's
@@ -360,9 +357,9 @@ def stopping_gap(pair: ProblemPair, z, px=None):
         dist_x = 0.0
     else:
         rx = z - px
-        dist_x = math.sqrt(float(rx @ rx))
+        dist_x = math.sqrt(float(rx.dot(rx)))
     ry = z - py
-    dist_y = math.sqrt(float(ry @ ry))
+    dist_y = math.sqrt(float(ry.dot(ry)))
     if not (math.isfinite(dist_x) and math.isfinite(dist_y)):
         raise NonconvergedProjection("projection produced non-finite entries")
     return max(dist_x, dist_y), px, py

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .circumcentering import circumcenter
 from .errors import DegenerateCircumcenter, InvalidKernel, NonconvergedProjection
 from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, project
@@ -101,12 +99,13 @@ def centralization_inner_product(pair: ProblemPair, z) -> float:
     z = as_point(z)
     px = project(pair.X, z)
     py = project(pair.Y, z)
-    return float((z - px) @ (z - py))
+    return float((z - px).dot(z - py))
 
 
-def _strictly_centralized(dx, dy, ip: float) -> bool:
-    """Whether the angle between z - P_X z and z - P_Y z is genuinely obtuse."""
-    return ip < -STEP_COSINE_TOL * float(np.linalg.norm(dx)) * float(np.linalg.norm(dy))
+def _strictly_centralized(norm_dx: float, norm_dy: float, ip: float) -> bool:
+    """Whether the angle between dx = z - P_X z and dy = z - P_Y z is genuinely
+    obtuse, from ip = <dx, dy> and the two norms."""
+    return ip < -STEP_COSINE_TOL * norm_dx * norm_dy
 
 
 def is_strictly_centralized(pair: ProblemPair, z) -> bool:
@@ -114,7 +113,9 @@ def is_strictly_centralized(pair: ProblemPair, z) -> bool:
     z = as_point(z)
     dx = z - project(pair.X, z)
     dy = z - project(pair.Y, z)
-    return _strictly_centralized(dx, dy, float(dx @ dy))
+    return _strictly_centralized(
+        math.sqrt(float(dx.dot(dx))), math.sqrt(float(dy.dot(dy))), float(dx.dot(dy))
+    )
 
 
 def pcrm(pair: ProblemPair, z, px=None, py=None):
@@ -128,6 +129,10 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
     `px`/`py`, when handed in, are not checked; a non-finite entry in either
     raises NonconvergedProjection through the inner product, where it would
     otherwise fail the strictness test and be replaced by P_X z.
+
+    Each norm is computed once, as math.sqrt(float(v.dot(v))), the bits of
+    numpy's 1-D norm: ||dy|| serves both the membership and the strictness
+    test, and ||dx|| is computed only when z is not in Y.
     """
     z = as_point(z)
     if px is None:
@@ -136,11 +141,12 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
         py = project(pair.Y, z)
     dx = z - px
     dy = z - py
-    ip = float(dx @ dy)
+    ip = float(dx.dot(dy))
     if not math.isfinite(ip):
         raise NonconvergedProjection("projection produced non-finite entries")
-    in_y = float(np.linalg.norm(dy)) <= MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
-    if in_y or not _strictly_centralized(dx, dy, ip):
+    norm_dy = math.sqrt(float(dy.dot(dy)))
+    in_y = norm_dy <= MEMBERSHIP_RTOL * (1.0 + math.sqrt(float(z.dot(z))))
+    if in_y or not _strictly_centralized(math.sqrt(float(dx.dot(dx))), norm_dy, ip):
         return px.copy(), ip
     try:
         # z + 2(P - z), not 2P - z: the two round differently and move traces

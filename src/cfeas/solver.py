@@ -101,8 +101,12 @@ class SolverConfig:
             raise InvalidSpec(f"unknown method {self.method!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class IterationRecord:
+    """One row of a trace.  Not frozen: the solver builds one per iteration,
+    and a frozen dataclass's __init__ sets each field through
+    object.__setattr__, which costs several times a plain slot store."""
+
     k: int
     delta: float
     dist_sref: Optional[float]
@@ -179,7 +183,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
         dist_sref = None
         if pair.s_ref is not None:
             r = z - pair.s_ref
-            dist_sref = math.sqrt(float(r @ r))
+            dist_sref = math.sqrt(float(r.dot(r)))
         records.append(
             IterationRecord(
                 k=k,
@@ -278,22 +282,9 @@ def estimate_rate_from_merits(merits) -> RateEstimate:
     return RateEstimate(CLASS_INCONCLUSIVE)
 
 
-def estimate_rate(trace: SolveTrace, merit: str = "delta") -> RateEstimate:
-    """Rate estimate from a solve trace.
-
-    merit "delta" uses the recorded feasibility gaps; "dist_to_limit" uses
-    distances to the final iterate and needs record_iterates=True.
-    """
-    if merit == "delta":
-        merits = trace.deltas
-    elif merit == "dist_to_limit":
-        if not trace.iterates:
-            raise InsufficientTrace("dist_to_limit merit needs recorded iterates")
-        z_bar = trace.iterates[-1]
-        merits = np.array([float(np.linalg.norm(z - z_bar)) for z in trace.iterates])
-    else:
-        raise ValueError(f"unknown merit {merit!r}")
-    return estimate_rate_from_merits(merits)
+def estimate_rate(trace: SolveTrace) -> RateEstimate:
+    """Rate estimate from a solve trace's recorded feasibility gaps."""
+    return estimate_rate_from_merits(trace.deltas)
 
 
 def _fmt(value) -> str:

@@ -19,7 +19,6 @@ from cfeas.geometry import (
     project,
     project_ellipsoid_multiplier,
     project_psd,
-    reflect,
 )
 from cfeas.oracles import ellipsoid_bisection, psd_nearest_descent
 from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
@@ -161,15 +160,6 @@ def test_entry_mask_projection_pins_entries():
 def test_entry_mask_requires_symmetric_data():
     with pytest.raises(ValueError):
         EntryMask(2, np.array([0]), np.array([1]), np.array([5.0]))
-
-
-def test_reflection_identity():
-    for variant in VARIANTS:
-        rng = make_rng(_seed("reflection", variant))
-        c = random_set(variant, rng)
-        z = random_point(c.dim, rng)
-        r = reflect(c, z)
-        assert np.allclose(r, 2.0 * project(c, z) - z)
 
 
 def test_contains_and_gap():

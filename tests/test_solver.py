@@ -21,7 +21,6 @@ from cfeas.solver import (
     SolverConfig,
     Table,
     Vanishing,
-    estimate_rate,
     estimate_rate_from_merits,
     read_trace_csv,
     schedule_value,
@@ -158,20 +157,6 @@ def test_rate_noisy_sequence_inconclusive():
 def test_rate_short_trace_raises():
     with pytest.raises(InsufficientTrace):
         estimate_rate_from_merits(np.ones(5))
-
-
-def test_estimate_rate_dist_to_limit_merit():
-    pair = gen_ellipsoids(40, 20.0, seed=6)
-    trace = solve(pair, SolverConfig(eps=1e-12, record_iterates=True))
-    if len(trace.iterates) >= 10:
-        est = estimate_rate(trace, merit="dist_to_limit")
-        assert est.classification in (
-            CLASS_LINEAR,
-            CLASS_SUPERLINEAR,
-            CLASS_INCONCLUSIVE,
-        )
-    with pytest.raises(ValueError):
-        estimate_rate(trace, merit="wallclock")
 
 
 def test_trace_csv_roundtrip(tmp_path):
