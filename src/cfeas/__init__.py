@@ -17,8 +17,6 @@ from .geometry import (
     project_psd,
 )
 from .operators import (
-    KERNEL_BASIC,
-    KERNEL_DEEP,
     KERNEL_STANDARD,
     KernelSpec,
     apply_kernel,

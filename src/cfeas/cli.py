@@ -16,7 +16,7 @@ from .bench import (
 )
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
-from .problems import GENERATORS, generate, load_pair, read_json, save_pair
+from .problems import DEFAULT_TANGENCY_GAP, GENERATORS, generate, load_pair, read_json, save_pair
 from .solver import STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> No
     p.add_argument("--rank", type=int, default=3)
     p.add_argument("--obs-frac", type=float, default=0.4)
     p.add_argument("--cond", type=float, default=20.0)
-    p.add_argument("--tangency-gap", type=float, default=1e-3)
+    p.add_argument("--tangency-gap", type=float, default=DEFAULT_TANGENCY_GAP)
     p.add_argument("--theta", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
 

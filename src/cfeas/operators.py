@@ -54,9 +54,7 @@ class KernelSpec:
         return len(self.tokens)
 
 
-KERNEL_BASIC = KernelSpec(("Y",))
 KERNEL_STANDARD = KernelSpec(("X", "Y"))
-KERNEL_DEEP = KernelSpec(("Y", "X", "Y"))
 
 
 def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
@@ -92,14 +90,6 @@ def centralize(pair: ProblemPair, t_point, alpha: float):
     px_t = pair.X._project(t_point)
     n_point = alpha * t_point + (1.0 - alpha) * px_t
     return n_point, px_t
-
-
-def centralization_inner_product(pair: ProblemPair, z) -> float:
-    """<z - P_X z, z - P_Y z>; nonpositive iff z is centralized. 2 projections."""
-    z = as_point(z)
-    px = project(pair.X, z)
-    py = project(pair.Y, z)
-    return float((z - px).dot(z - py))
 
 
 def _strictly_centralized(norm_dx: float, norm_dy: float, ip: float) -> bool:

@@ -33,9 +33,11 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     """PSD matrix completion: X = PSD cone, Y = entries pinned on a mask.
 
     The ground truth A = B B^T (B n x r standard normal) is feasible by
-    construction and serves as s_ref.  The mask is sampled symmetrically until
-    it covers at least ceil(obs_frac * n^2) entries.  z0 is the masked matrix
-    (A on the mask, zero elsewhere).
+    construction and serves as s_ref.  The mask follows rng.permutation(n^2)
+    of flat indices: each draw p = i n + j pins (i, j) and (j, i), and the
+    draws stop once at least ceil(obs_frac * n^2) entries are pinned.  rows
+    and cols list the pinned entries in row-major order.  z0 is the masked
+    matrix (A on the mask, zero elsewhere).
 
     The PSD cone plays the role of X because the mask projection is the cheap
     one and kernels end in P_Y, keeping eigendecompositions to one per X token.
@@ -50,17 +52,19 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     rng = make_rng(seed)
     b = rng.standard_normal((n, r))
     a = b @ b.T
-    target = math.ceil(obs_frac * n * n)
-    chosen = set()
-    for flat in rng.permutation(n * n):
-        if len(chosen) >= target:
-            break
-        i, j = divmod(int(flat), n)
-        chosen.add((i, j))
-        chosen.add((j, i))
-    idx = sorted(chosen)
-    rows = np.array([i for i, _ in idx], dtype=int)
-    cols = np.array([j for _, j in idx], dtype=int)
+    perm = rng.permutation(n * n)
+    i, j = np.divmod(perm, n)
+    # draw t pins new entries iff its transpose was not drawn before it:
+    # 2 of them off the diagonal, 1 on it
+    order = np.arange(n * n)
+    at = np.empty_like(perm)
+    at[perm] = order
+    added = np.where(at[j * n + i] >= order, 2 - (i == j), 0)
+    m = int(np.searchsorted(np.cumsum(added), math.ceil(obs_frac * n * n))) + 1
+    mask = np.zeros((n, n), dtype=bool)
+    mask[i[:m], j[:m]] = True
+    mask[j[:m], i[:m]] = True
+    rows, cols = np.divmod(np.flatnonzero(mask), n)
     values = a[rows, cols]
     z0 = np.zeros((n, n))
     z0[rows, cols] = values

@@ -5,17 +5,17 @@ import pytest
 from cfeas.errors import InvalidKernel
 from cfeas.geometry import Ball, Halfspace, ProblemPair, contains, distance, project
 from cfeas.operators import (
-    KERNEL_BASIC,
-    KERNEL_DEEP,
     KERNEL_STANDARD,
     KernelSpec,
     apply_kernel,
     centralize,
-    centralization_inner_product,
     circumcentered_step,
     is_strictly_centralized,
+    pcrm,
 )
 from cfeas.sampling import make_rng
+
+_KERNELS = (KernelSpec.from_string("Y"), KERNEL_STANDARD, KernelSpec.from_string("YXY"))
 
 
 def _ball_pair(rng, dim=4, sep=1.2):
@@ -27,8 +27,8 @@ def _ball_pair(rng, dim=4, sep=1.2):
 
 def test_kernel_spec_parsing_and_str():
     assert KernelSpec.from_string("xy").tokens == ("X", "Y")
-    assert str(KERNEL_DEEP) == "YXY"
-    assert len(KERNEL_BASIC) == 1 and len(KERNEL_STANDARD) == 2
+    assert str(KernelSpec.from_string("YXY")) == "YXY"
+    assert len(KernelSpec.from_string("Y")) == 1 and len(KERNEL_STANDARD) == 2
 
 
 def test_kernel_spec_rejects_bad_token_sequences():
@@ -44,7 +44,7 @@ def test_kernel_spec_rejects_bad_token_sequences():
 
 def test_kernel_image_lies_in_y():
     rng = make_rng(1)
-    for spec in (KERNEL_BASIC, KERNEL_STANDARD, KERNEL_DEEP):
+    for spec in _KERNELS:
         for _ in range(30):
             pair = _ball_pair(rng)
             z = rng.standard_normal(pair.dim) * 3.0
@@ -54,7 +54,7 @@ def test_kernel_image_lies_in_y():
 
 def test_kernel_quasi_nonexpansive_wrt_intersection():
     rng = make_rng(2)
-    for spec in (KERNEL_BASIC, KERNEL_STANDARD, KERNEL_DEEP):
+    for spec in _KERNELS:
         for _ in range(30):
             pair = _ball_pair(rng)
             # midpoint of the two centers lies in both unit balls (sep < 2)
@@ -72,7 +72,7 @@ def test_centralizer_output_is_centralized():
         t = apply_kernel(KERNEL_STANDARD, pair, z)
         alpha = float(rng.uniform(0.05, 0.95))
         n, px_t = centralize(pair, t, alpha)
-        ip = centralization_inner_product(pair, n)
+        ip = pcrm(pair, n)[1]
         scale = (1.0 + np.linalg.norm(n)) ** 2
         assert ip <= 1e-9 * scale
 
@@ -123,7 +123,7 @@ def test_step_orthogonal_halfspaces_one_shot():
     X = Halfspace(np.array([1.0, 0.0]), 0.0)
     Y = Halfspace(np.array([0.0, 1.0]), 0.0)
     pair = ProblemPair(X=X, Y=Y, z0=np.array([1.0, 1.0]))
-    nxt, _ = circumcentered_step(pair, np.array([1.0, 1.0]), 0.5, KERNEL_BASIC)
+    nxt, _ = circumcentered_step(pair, np.array([1.0, 1.0]), 0.5, KernelSpec.from_string("Y"))
     assert np.allclose(nxt, [0.0, 0.0], atol=1e-12)
 
 
@@ -133,6 +133,6 @@ def test_step_never_increases_distance_to_feasible_point():
         pair = _ball_pair(rng, dim=int(rng.integers(2, 7)))
         s = 0.5 * (pair.X.center + pair.Y.center)
         z = rng.standard_normal(pair.dim) * 3.0
-        for spec in (KERNEL_BASIC, KERNEL_STANDARD, KERNEL_DEEP):
+        for spec in _KERNELS:
             nxt, _ = circumcentered_step(pair, z, float(rng.uniform(0.1, 0.9)), spec)
             assert np.linalg.norm(nxt - s) <= np.linalg.norm(z - s) + 1e-9

@@ -1,6 +1,11 @@
 """Instance generators: feasibility, determinism, and serialization."""
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cfeas.errors import InvalidSpec
 from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, contains, distance, gap
@@ -14,6 +19,7 @@ from cfeas.problems import (
     pair_to_json,
     save_pair,
 )
+from cfeas.sampling import make_rng
 
 
 def test_matrix_completion_structure():
@@ -59,6 +65,115 @@ def test_matrix_completion_invalid_params():
         gen_matrix_completion(5, 5, 0.4, seed=0)
     with pytest.raises(InvalidSpec):
         gen_matrix_completion(5, 2, 0.0, seed=0)
+
+
+def _reference_mask(n, obs_frac, rng):
+    """The mask sampler as a loop over draws: (rows, cols, draws taken).
+
+    Each draw of rng.permutation(n * n) pins (i, j) and (j, i); the draws
+    stop once at least ceil(obs_frac * n^2) entries are pinned.
+    """
+    target = math.ceil(obs_frac * n * n)
+    chosen = set()
+    draws = 0
+    for flat in rng.permutation(n * n):
+        if len(chosen) >= target:
+            break
+        i, j = divmod(int(flat), n)
+        chosen.add((i, j))
+        chosen.add((j, i))
+        draws += 1
+    idx = sorted(chosen)
+    rows = np.array([i for i, _ in idx], dtype=int)
+    cols = np.array([j for _, j in idx], dtype=int)
+    return rows, cols, draws
+
+
+def _assert_matches_reference(n, r, obs_frac, seed):
+    """gen_matrix_completion equals the reference sampler byte for byte;
+    returns the reference's number of draws."""
+    rng = make_rng(seed)
+    b = rng.standard_normal((n, r))
+    a = b @ b.T
+    rows, cols, draws = _reference_mask(n, obs_frac, rng)
+    z0 = np.zeros((n, n))
+    z0[rows, cols] = a[rows, cols]
+    want = {
+        "rows": rows,
+        "cols": cols,
+        "values": a[rows, cols],
+        "z0": z0.reshape(-1),
+        "s_ref": a.reshape(-1),
+    }
+    pair = gen_matrix_completion(n, r, obs_frac, seed)
+    got = {
+        "rows": pair.Y.rows,
+        "cols": pair.Y.cols,
+        "values": pair.Y.values,
+        "z0": pair.z0,
+        "s_ref": pair.s_ref,
+    }
+    for key, ref in want.items():
+        assert got[key].dtype == ref.dtype, key
+        assert got[key].shape == ref.shape, key
+        assert got[key].tobytes() == ref.tobytes(), key
+    meta = {"family": "matrix_completion", "n": n, "rank": r, "obs_frac": obs_frac, "seed": seed}
+    assert json.dumps(pair.metadata) == json.dumps(meta)
+    return draws
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 30])
+def test_matrix_completion_mask_matches_reference_sampler(n):
+    for r in sorted({1, n - 1}):
+        for obs_frac in (1e-9, 0.01, 0.1, 0.3, 0.5, 0.77, 0.99, 1.0):
+            for seed in range(3):
+                _assert_matches_reference(n, r, obs_frac, seed)
+
+
+def test_matrix_completion_mc_psd_instances_match_reference_sampler():
+    # the instance seeds of the mc_psd benchmark's run seeds 0 and 1
+    for seed in range(32):
+        _assert_matches_reference(80, 3, 0.6, seed)
+
+
+@settings(max_examples=120)
+@given(
+    st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_matrix_completion_mask_matches_reference_property(n_rank, obs_frac, seed):
+    n, r = n_rank
+    _assert_matches_reference(n, r, obs_frac, seed)
+
+
+def test_matrix_completion_full_observation_stops_at_last_new_pair():
+    for n in (2, 3, 7):
+        for seed in range(4):
+            pair = gen_matrix_completion(n, 1, 1.0, seed)
+            assert pair.Y.rows.tolist() == np.repeat(np.arange(n), n).tolist()
+            assert pair.Y.cols.tolist() == np.tile(np.arange(n), n).tolist()
+            draws = _assert_matches_reference(n, 1, 1.0, seed)
+            # the last draw taken pins a new pair: its transpose is not drawn before it
+            rng = make_rng(seed)
+            rng.standard_normal((n, 1))
+            perm = rng.permutation(n * n)
+            i, j = divmod(int(perm[draws - 1]), n)
+            assert j * n + i in perm[draws - 1 :].tolist()
+
+
+def test_matrix_completion_target_one_stops_after_one_draw():
+    sizes = set()
+    for n in (2, 3):
+        for seed in range(20):
+            pair = gen_matrix_completion(n, 1, 1e-9, seed)
+            assert _assert_matches_reference(n, 1, 1e-9, seed) == 1
+            rng = make_rng(seed)
+            rng.standard_normal((n, 1))
+            i, j = divmod(int(rng.permutation(n * n)[0]), n)
+            assert set(zip(pair.Y.rows.tolist(), pair.Y.cols.tolist())) == {(i, j), (j, i)}
+            sizes.add(len(pair.Y.rows))
+    assert sizes == {1, 2}
 
 
 def test_ellipsoids_interior_margin():

@@ -8,7 +8,7 @@ import pytest
 import cfeas.geometry
 from cfeas.errors import InsufficientTrace, InvalidSchedule
 from cfeas.geometry import Ball, EntryMask, Halfspace, ProblemPair, distance, project
-from cfeas.operators import KERNEL_BASIC, KernelSpec, circumcentered_step
+from cfeas.operators import KernelSpec, circumcentered_step
 from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, generate
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
@@ -72,7 +72,7 @@ def test_solve_orthogonal_halfspaces_single_iteration():
     X = Halfspace(np.array([1.0, 0.0]), 0.0)
     Y = Halfspace(np.array([0.0, 1.0]), 0.0)
     pair = ProblemPair(X=X, Y=Y, z0=np.array([1.0, 1.0]))
-    trace = solve(pair, SolverConfig(kernel=KERNEL_BASIC, eps=1e-12))
+    trace = solve(pair, SolverConfig(kernel=KernelSpec.from_string("Y"), eps=1e-12))
     assert trace.status == STATUS_CONVERGED
     assert trace.iterations == 1
     assert np.allclose(trace.final_point, [0.0, 0.0], atol=1e-12)
