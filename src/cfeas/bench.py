@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -15,15 +14,13 @@ from . import oracles, sampling
 from .circumcentering import circumcenter
 from .errors import EmptyInput, InvalidSpec
 from .geometry import project, project_psd
-from .operators import KernelSpec, centralize, pcrm
-from .problems import GENERATORS, generate, generator_args
+from .operators import centralize, pcrm
+from .problems import CONFIG_FIELDS, SCHEDULES, generate, read_fields
 from .solver import (
     STATUS_NUMERICAL_FAILURE,
     Constant,
     SolveTrace,
     SolverConfig,
-    Table,
-    Vanishing,
     write_trace_csv,
 )
 
@@ -37,70 +34,10 @@ SUMMARY_COLUMNS = [
     "mean_projections",
 ]
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["generator", "methods", "seeds"],
-    "properties": {
-        "generator": {
-            "type": "object",
-            "required": ["family"],
-            "properties": {
-                "family": {"enum": list(GENERATORS)},
-                **{
-                    key: {"type": "integer" if read is operator.index else "number"}
-                    for _, fields in GENERATORS.values()
-                    for key, read, _ in fields
-                },
-            },
-        },
-        "methods": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "method": {"enum": ["crm", "map"]},
-                    "kernel": {"type": "string"},
-                    "schedule": {
-                        "type": "object",
-                        "properties": {
-                            "kind": {"enum": ["constant", "vanishing", "table"]},
-                            "alpha": {"type": "number"},
-                            "values": {"type": "array"},
-                        },
-                    },
-                },
-            },
-        },
-        "seeds": {"type": "array", "minItems": 1, "items": {"type": "integer"}},
-        "eps": {"type": "number"},
-        "max_iter": {"type": "integer"},
-        "output_dir": {"type": "string"},
-    },
-}
-
-
-def schedule_from_json(doc: Optional[dict]):
-    if doc is None:
-        return Constant(0.5)
-    kind = doc.get("kind", "constant")
-    if kind == "constant":
-        return Constant(float(doc.get("alpha", 0.5)))
-    if kind == "vanishing":
-        return Vanishing()
-    if kind == "table":
-        return Table(tuple(doc.get("values", ())))
-    raise InvalidSpec(f"unknown schedule kind {kind!r}")
-
-
 def _schedule_label(schedule) -> str:
     if isinstance(schedule, Constant):
         return repr(schedule.alpha)
-    if isinstance(schedule, Vanishing):
-        return "vanishing"
-    return "table"
+    return next(kind for kind, (make, _) in SCHEDULES.items() if isinstance(schedule, make))
 
 
 @dataclass
@@ -108,59 +45,33 @@ class MethodSpec:
     name: str
     config: SolverConfig
 
-    @classmethod
-    def from_json(cls, doc: dict, eps: float, max_iter: int) -> "MethodSpec":
-        method = doc.get("method", "crm")
-        cfg = SolverConfig(
-            method=method,
-            kernel=KernelSpec.from_string(doc.get("kernel", "XY")),
-            schedule=schedule_from_json(doc.get("schedule")),
-            eps=eps,
-            max_iter=max_iter,
-        )
-        return cls(name=doc["name"], config=cfg)
-
 
 @dataclass
 class ExperimentConfig:
     generator: dict
     methods: List[MethodSpec]
     seeds: List[int]
-    eps: float = 1e-8
-    max_iter: int = 100_000
-    output_dir: str = "bench_out"
+    eps: float
+    max_iter: int
+    output_dir: str
 
     def __post_init__(self):
-        if not self.methods:
-            raise InvalidSpec("need at least one method")
-        if not self.seeds:
-            raise InvalidSpec("need at least one seed")
+        names = [m.name for m in self.methods]
+        for i, name in enumerate(names):  # a method's name names its trace files
+            if name in names[:i]:
+                raise InvalidSpec(f"method name {name!r} is given twice")
+            if not name or os.path.basename(name) != name or "\0" in name:
+                raise InvalidSpec(f"method name {name!r} is not one file-name component")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         """Build a config, checked once here: a malformed document, an unknown
-        family or method, a missing generator parameter, a bad kernel or
+        family or method, a missing or mistyped field, a bad kernel or
         schedule raise InvalidSpec instead of failing every cell later."""
-        try:
-            eps = float(doc.get("eps", 1e-8))
-            max_iter = int(doc.get("max_iter", 100_000))
-            generator = dict(doc["generator"])
-            family = generator["family"]
-            methods = [MethodSpec.from_json(m, eps, max_iter) for m in doc["methods"]]
-            seeds = [int(s) for s in doc["seeds"]]
-            generator_args(family, generator)
-        except KeyError as exc:
-            raise InvalidSpec(f"bench config: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise InvalidSpec(f"bench config: {exc}") from None
-        return cls(
-            generator=generator,
-            methods=methods,
-            seeds=seeds,
-            eps=eps,
-            max_iter=max_iter,
-            output_dir=doc.get("output_dir", "bench_out"),
-        )
+        values = read_fields(doc, "bench config", CONFIG_FIELDS)
+        generator, methods, seeds, eps, max_iter, output_dir = values
+        methods = [MethodSpec(name, SolverConfig(*rest, eps, max_iter)) for name, *rest in methods]
+        return cls(generator, methods, seeds, eps, max_iter, output_dir)
 
 
 @dataclass

@@ -6,18 +6,20 @@ import json
 import os
 import sys
 
-from .bench import (
-    CONFIG_SCHEMA,
-    ExperimentConfig,
-    emit_convergence_plotdata,
-    oracle_check,
-    run_matrix,
-    schedule_from_json,
-)
+from .bench import ExperimentConfig, emit_convergence_plotdata, oracle_check, run_matrix
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
-from .problems import DEFAULT_TANGENCY_GAP, GENERATORS, generate, load_pair, read_json, save_pair
-from .solver import STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
+from .problems import (
+    CONFIG_SCHEMA,
+    DEFAULT_TANGENCY_GAP,
+    GENERATORS,
+    generate,
+    load_pair,
+    read_json,
+    save_pair,
+    schedule_from_json,
+)
+from .solver import METHODS, STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -37,7 +39,7 @@ def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> No
 
 def _generator_params(args) -> dict:
     _, fields = GENERATORS[args.family]
-    return {key: getattr(args, key) for key, _, _ in fields}
+    return {key: getattr(args, key) for key, *_ in fields}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv = sub.add_parser("solve", help="solve one instance and dump its trace")
     slv.add_argument("--instance", help="instance JSON from `gen`")
     _add_generator_args(slv, required=False)
-    slv.add_argument("--method", choices=["crm", "map"], default="crm")
+    slv.add_argument("--method", choices=METHODS, default="crm")
     slv.add_argument("--kernel", default="XY")
     slv.add_argument(
         "--schedule",
@@ -86,19 +88,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_schedule(text: str):
+    """constant:A | vanishing | table:A,B,... read as a schedule document."""
     kind, _, rest = text.partition(":")
+    doc = {"kind": kind}
     try:
-        if kind == "constant":
-            return schedule_from_json({"kind": "constant", "alpha": float(rest or 0.5)})
-        if kind == "vanishing":
-            return schedule_from_json({"kind": "vanishing"})
-        if kind == "table":
-            return schedule_from_json(
-                {"kind": "table", "values": [float(v) for v in rest.split(",")]}
-            )
-    except ValueError as exc:
+        if rest:
+            values = [float(v) for v in rest.split(",")]
+            doc.update(alpha=values[0] if len(values) == 1 else values, values=values)
+        return schedule_from_json(doc)
+    except ValueError as exc:  # InvalidSpec included
         raise InvalidSpec(f"--schedule {text!r}: {exc}") from None
-    raise InvalidSpec(f"unknown schedule {text!r}")
 
 
 def _parse_seed_range(text: str):

@@ -1,4 +1,5 @@
-"""Seeded generators for benchmark instances, plus instance (de)serialization.
+"""Seeded generators for benchmark instances, and the one reader of every
+input document: instances, generator parameters, schedules and bench configs.
 
 All randomness flows through a counter-based Philox bit generator keyed by the
 instance seed, so regenerating with the same parameters is bit-identical and
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-import operator
+import numbers
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .geometry import (
     PsdCone,
     SetDescriptor,
 )
+from .operators import KERNEL_STANDARD, KernelSpec
 from .sampling import make_rng
+from .solver import METHODS, Constant, Table, Vanishing
 
 DEFAULT_TANGENCY_GAP = 1e-3
 
@@ -95,8 +98,8 @@ def gen_ellipsoids(
     intersection therefore has nonempty interior and s_ref = 0 is feasible.
     z0 is a seeded random point at roughly the ellipsoid diameter from s_ref.
     """
-    if cond < 1.0:
-        raise InvalidSpec(f"condition number must be >= 1, got {cond}")
+    if not 1.0 <= cond < math.inf:
+        raise InvalidSpec(f"condition number must be finite and >= 1, got {cond}")
     if not 0.0 < tangency_gap < 1.0:
         raise InvalidSpec(f"tangency_gap must lie in (0, 1), got {tangency_gap}")
     if n < 1:
@@ -160,65 +163,123 @@ def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
     )
 
 
-# family -> (generator, its parameters in call order, each with its reader
-# and its default, None if the parameter is required); the seed comes last
+# A field reader takes a decoded JSON value and returns what it stands for, or
+# raises TypeError or ValueError.  Its `schema` is the JSON Schema of the
+# values it takes, so the bench config schema derives from the loader's tables.
+
+
+def reader(schema: dict, read):
+    """`read`, marked with the JSON Schema of the values it takes."""
+    read.schema = schema
+    return read
+
+
+def _typed(json_type: str, types, convert):
+    def read(value):
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise TypeError(f"expected a JSON {json_type}, got {value!r}")
+        return convert(value)
+
+    return reader({"type": json_type}, read)
+
+
+read_int = _typed("integer", numbers.Integral, int)  # not a float, a bool or a string
+read_number = _typed("number", numbers.Real, float)  # an integer too, not a bool or a string
+read_str = _typed("string", str, str)
+
+
+def read_list(read):
+    def read_items(value):
+        if not isinstance(value, list) or not value:
+            raise TypeError("expected a non-empty array")
+        return [read(item) for item in value]
+
+    return reader({"type": "array", "minItems": 1, "items": read.schema}, read_items)
+
+
+def read_fields(doc, name: str, fields) -> list:
+    """doc's values of the fields (key, read) or (key, read, default), in
+    table order; other keys are ignored.  Errors name `name` and the field."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec(f"{name} must be a JSON object")
+    values = []
+    for key, read, *default in fields:
+        if key not in doc and not default:
+            raise InvalidSpec(f"{name}: missing field {key!r}")
+        try:
+            values.append(read(doc[key]) if key in doc else default[0])
+        except (TypeError, ValueError) as exc:
+            raise InvalidSpec(f"{name} field {key!r}: {exc}") from None
+    return values
+
+
+def read_variant(doc, name: str, table: dict, tag: str, default=None):
+    """(make, its fields read from doc) for the entry (make, fields) of
+    `table` that doc[tag] names, `default` standing in for a missing tag.
+    `name` names doc in errors, with the variant in place of '{}'."""
+    if not isinstance(doc, dict):
+        raise InvalidSpec("must be a JSON object")
+    variant = doc.get(tag, default)
+    if not isinstance(variant, str) or variant not in table:
+        raise InvalidSpec(f"unknown {tag} {variant!r}" if tag in doc else f"missing field {tag!r}")
+    make, fields = table[variant]
+    return make, read_fields(doc, name.format(variant), fields)
+
+
+def fields_schema(fields) -> dict:
+    return {
+        "type": "object",
+        "required": [key for key, _, *default in fields if not default],
+        "properties": {key: read.schema for key, read, *_ in fields},
+    }
+
+
+def variants_schema(table: dict, tag: str, default=None) -> dict:
+    branches = []
+    for variant, (_, fields) in table.items():
+        schema = fields_schema(fields)
+        schema["properties"] = {tag: {"const": variant}, **schema["properties"]}
+        schema["required"] += [] if variant == default else [tag]
+        branches.append(schema)
+    return {"oneOf": branches}
+
+
+# family -> (generator, its parameters in call order); the seed comes last
 GENERATORS = {
     "matrix_completion": (
         gen_matrix_completion,
-        (("n", operator.index, None), ("rank", operator.index, None), ("obs_frac", float, None)),
+        (("n", read_int), ("rank", read_int), ("obs_frac", read_number)),
     ),
     "ellipsoids": (
         gen_ellipsoids,
         (
-            ("n", operator.index, None),
-            ("cond", float, None),
-            ("tangency_gap", float, DEFAULT_TANGENCY_GAP),
+            ("n", read_int),
+            ("cond", read_number),
+            ("tangency_gap", read_number, DEFAULT_TANGENCY_GAP),
         ),
     ),
-    "halfspace_wedge": (gen_halfspace_wedge, (("n", operator.index, None), ("theta", float, None))),
+    "halfspace_wedge": (gen_halfspace_wedge, (("n", read_int), ("theta", read_number))),
 }
 
 
-def _generator(family: str):
-    try:
-        return GENERATORS[family]
-    except (KeyError, TypeError):
-        raise InvalidSpec(f"unknown family {family!r}") from None
-
-
-def generator_args(family: str, params: dict) -> list:
-    """The family's parameters from `params` in call order, defaults filled in.
-
-    Parameters the family does not take are ignored; an unknown family, a
-    missing required parameter or one of the wrong type raises InvalidSpec.
-    """
-    _, fields = _generator(family)
-    name = f"{family} generator"
-    return [
-        _field(params, name, key, read) if default is None or key in params else default
-        for key, read, default in fields
-    ]
-
-
 def generate(family: str, seed: int, **params) -> ProblemPair:
-    gen, _ = _generator(family)
-    return gen(*generator_args(family, params), seed)
+    """The seeded `family` instance; params the family does not take are ignored."""
+    gen, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
+    return gen(*args, seed)
 
 
-def _vector(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
+_numbers, _indices = read_list(read_number), read_list(read_int)
 
 # variant -> (descriptor, its fields in constructor order with their readers)
 _SET_VARIANTS = {
-    "halfspace": (Halfspace, (("normal", _vector), ("offset", float))),
-    "box": (Box, (("lo", _vector), ("hi", _vector))),
-    "ball": (Ball, (("center", _vector), ("radius", float))),
-    "ellipsoid": (Ellipsoid, (("center", _vector), ("diag", _vector))),
-    "psd_cone": (PsdCone, (("order", operator.index),)),
+    "halfspace": (Halfspace, (("normal", _numbers), ("offset", read_number))),
+    "box": (Box, (("lo", _numbers), ("hi", _numbers))),
+    "ball": (Ball, (("center", _numbers), ("radius", read_number))),
+    "ellipsoid": (Ellipsoid, (("center", _numbers), ("diag", _numbers))),
+    "psd_cone": (PsdCone, (("order", read_int),)),
     "entry_mask": (
         EntryMask,
-        (("order", operator.index), ("rows", _vector), ("cols", _vector), ("values", _vector)),
+        (("order", read_int), ("rows", _indices), ("cols", _indices), ("values", _numbers)),
     ),
 }
 
@@ -234,34 +295,12 @@ def _set_to_json(set_: SetDescriptor) -> dict:
     raise TypeError(f"unsupported set descriptor {type(set_).__name__}")
 
 
-def _field(doc, name: str, key: str, read=None):
-    """doc[key] passed through read; InvalidSpec naming `name` and the field."""
-    try:
-        value = doc[key]
-    except KeyError:
-        raise InvalidSpec(f"{name}: missing field {key!r}") from None
-    except TypeError:
-        raise InvalidSpec(f"{name} must be a JSON object") from None
-    if read is None:
-        return value
-    try:
-        return read(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"{name} field {key!r}: {exc}") from None
-
-
-def _set_from_json(doc: dict, name: str) -> SetDescriptor:
-    variant = _field(doc, name, "variant")
-    try:
-        cls, fields = _SET_VARIANTS[variant]
-    except (KeyError, TypeError):
-        raise InvalidSpec(f"{name}: unknown set variant {variant!r}") from None
-    name = f"{name} ({variant})"
-    args = [_field(doc, name, key, read) for key, read in fields]
+def _set_from_json(doc, name: str) -> SetDescriptor:
+    cls, args = read_variant(doc, name + " ({})", _SET_VARIANTS, "variant")
     try:
         return cls(*args)
     except ValueError as exc:
-        raise InvalidSpec(f"{name}: {exc}") from None
+        raise InvalidSpec(f"{name} ({doc['variant']}): {exc}") from None
 
 
 def pair_to_json(pair: ProblemPair) -> dict:
@@ -275,17 +314,18 @@ def pair_to_json(pair: ProblemPair) -> dict:
     }
 
 
+_PAIR_FIELDS = (
+    ("X", lambda doc: _set_from_json(doc, "set X")),
+    ("Y", lambda doc: _set_from_json(doc, "set Y")),
+    ("z0", _numbers),
+    ("s_ref", lambda value: None if value is None else _numbers(value), None),
+)
+
+
 def pair_from_json(doc: dict) -> ProblemPair:
     """Inverse of pair_to_json; a malformed document raises InvalidSpec."""
-    return ProblemPair(
-        X=_set_from_json(_field(doc, "instance", "X"), "set X"),
-        Y=_set_from_json(_field(doc, "instance", "Y"), "set Y"),
-        z0=_field(doc, "instance", "z0", _vector),
-        s_ref=_field(doc, "instance", "s_ref", _vector)
-        if doc.get("s_ref") is not None
-        else None,
-        metadata=doc.get("metadata", {}),
-    )
+    x, y, z0, s_ref = read_fields(doc, "instance", _PAIR_FIELDS)
+    return ProblemPair(X=x, Y=y, z0=z0, s_ref=s_ref, metadata=doc.get("metadata", {}))
 
 
 def save_pair(pair: ProblemPair, path) -> None:
@@ -307,3 +347,49 @@ def read_json(path, what: str):
 
 def load_pair(path) -> ProblemPair:
     return pair_from_json(read_json(path, "instance"))
+
+
+# kind -> (schedule, its fields); a schedule that names no kind is constant
+SCHEDULES = {
+    "constant": (Constant, (("alpha", read_number, 0.5),)),
+    "vanishing": (Vanishing, ()),
+    "table": (Table, (("values", _numbers),)),
+}
+
+
+def schedule_from_json(doc):
+    make, args = read_variant(doc, "{} schedule", SCHEDULES, "kind", "constant")
+    return make(*args)
+
+
+def _generator_doc(doc) -> dict:
+    read_variant(doc, "{} generator", GENERATORS, "family")
+    return dict(doc)
+
+
+schedule_from_json.schema = variants_schema(SCHEDULES, "kind", "constant")
+_generator_doc.schema = variants_schema(GENERATORS, "family")
+# SolverConfig rejects an unknown method and KernelSpec a bad kernel token; each
+# reader is a new function, so read_str keeps its own schema
+_method_kind = reader({"enum": list(METHODS)}, lambda text: read_str(text))
+_kernel = reader(read_str.schema, lambda text: KernelSpec.from_string(read_str(text)))
+_METHOD_FIELDS = (
+    ("name", read_str),
+    ("method", _method_kind, "crm"),
+    ("kernel", _kernel, KERNEL_STANDARD),
+    ("schedule", schedule_from_json, Constant(0.5)),
+)
+_method = reader(
+    fields_schema(_METHOD_FIELDS), lambda doc: read_fields(doc, "method", _METHOD_FIELDS)
+)
+
+# bench config fields; each method reads as (name, method, kernel, schedule)
+CONFIG_FIELDS = (
+    ("generator", _generator_doc),
+    ("methods", read_list(_method)),
+    ("seeds", read_list(read_int)),
+    ("eps", read_number, 1e-8),
+    ("max_iter", read_int, 100_000),
+    ("output_dir", read_str, "bench_out"),
+)
+CONFIG_SCHEMA = fields_schema(CONFIG_FIELDS)

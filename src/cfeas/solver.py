@@ -26,6 +26,8 @@ from .geometry import (
 )
 from .operators import KERNEL_STANDARD, KernelSpec, circumcentered_step
 
+METHODS = ("crm", "map")  # circumcentered, alternating projections
+
 STATUS_CONVERGED = "converged"
 STATUS_MAX_ITER = "max_iter"
 STATUS_NUMERICAL_FAILURE = "numerical_failure"
@@ -85,7 +87,7 @@ class SolverConfig:
     """What to run; the defaults are classical cCRM: kernel P_Y P_X with
     constant alpha = 1/2."""
 
-    method: str = "crm"  # "crm" (circumcentered) | "map" (alternating projections)
+    method: str = "crm"  # one of METHODS
     kernel: KernelSpec = KERNEL_STANDARD
     schedule: StepSchedule = Constant(0.5)
     eps: float = 1e-10
@@ -93,11 +95,11 @@ class SolverConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.eps <= 0.0:
-            raise InvalidSpec("eps must be positive")
+        if not 0.0 < self.eps < math.inf:
+            raise InvalidSpec(f"eps must be positive and finite, got {self.eps}")
         if self.max_iter < 1:
             raise InvalidSpec("max_iter must be >= 1")
-        if self.method not in ("crm", "map"):
+        if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}")
 
 

@@ -7,16 +7,9 @@ import numpy as np
 import pytest
 
 import cfeas.bench
-from cfeas.bench import (
-    CONFIG_SCHEMA,
-    ExperimentConfig,
-    emit_convergence_plotdata,
-    oracle_check,
-    run_matrix,
-    schedule_from_json,
-)
+from cfeas.bench import ExperimentConfig, emit_convergence_plotdata, oracle_check, run_matrix
 from cfeas.errors import EmptyInput, InvalidSpec
-from cfeas.problems import generate
+from cfeas.problems import CONFIG_SCHEMA, generate, schedule_from_json
 from cfeas.solver import Constant, Table, Vanishing
 
 
@@ -46,8 +39,11 @@ def test_schedule_from_json_variants():
     assert schedule_from_json({"kind": "table", "values": [0.5, 0.2]}) == Table(
         (0.5, 0.2)
     )
-    # omitted schedule falls back to the fixed-step default
-    assert schedule_from_json(None) == Constant(0.5)
+    # a schedule without a kind is constant, and a method without a schedule
+    # takes the fixed-step default
+    assert schedule_from_json({"alpha": 0.3}) == Constant(0.3)
+    config = ExperimentConfig.from_json({**_config_doc("out"), "methods": [{"name": "m"}]})
+    assert config.methods[0].config.schedule == Constant(0.5)
     with pytest.raises(InvalidSpec):
         schedule_from_json({"kind": "adaptive"})
 

@@ -271,6 +271,16 @@ _BOGUS_METHOD = {
     "methods": [{"name": "m", "method": "bogus"}],
     "seeds": [0],
 }
+_SAME_NAME_TWICE = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m", "method": "crm"}, {"name": "m", "method": "map"}],
+    "seeds": [0],
+}
+_NAME_WITH_SLASH = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "a/b"}],
+    "seeds": [0],
+}
 
 
 @pytest.mark.parametrize(
@@ -279,8 +289,16 @@ _BOGUS_METHOD = {
         (json.dumps(_ELLIPSOIDS_WITHOUT_COND), ["ellipsoids generator", "'cond'"]),
         (json.dumps(_BOGUS_METHOD), ["unknown method", "'bogus'"]),
         ('{"generator": {"family": "ellipsoids",', ["not JSON"]),
+        (json.dumps(_SAME_NAME_TWICE), ["method name", "'m'", "twice"]),
+        (json.dumps(_NAME_WITH_SLASH), ["method name", "'a/b'", "file-name component"]),
     ],
-    ids=["missing_generator_parameter", "unknown_method", "not_json"],
+    ids=[
+        "missing_generator_parameter",
+        "unknown_method",
+        "not_json",
+        "same_method_name_twice",
+        "method_name_with_slash",
+    ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
     out = tmp_path / "run"
@@ -309,6 +327,9 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
         (_SOLVE + ["--kernel", "XZ"], ["kernel token", "'Z'"]),
         (_SOLVE + ["--schedule", "constant:2"], ["--schedule", "alpha"]),
         (_SOLVE + ["--eps", "0"], ["eps"]),
+        (_SOLVE + ["--eps", "nan"], ["eps", "nan"]),
+        (_SOLVE + ["--eps", "inf"], ["eps", "inf"]),
+        (["gen", "--family", "ellipsoids", "--cond", "inf", "--out", "i.json"], ["condition"]),
         (_SOLVE + ["--max-iter", "0"], ["max_iter"]),
         (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
         (["bench"], ["--config"]),
@@ -328,6 +349,9 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
         "bad_kernel",
         "alpha_out_of_range",
         "zero_eps",
+        "nan_eps",
+        "inf_eps",
+        "inf_cond",
         "zero_max_iter",
         "solve_without_instance",
         "bench_without_config",

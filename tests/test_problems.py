@@ -228,6 +228,10 @@ def test_ellipsoids_invalid_params():
         gen_ellipsoids(10, 0.5, 1e-3, seed=0)
     with pytest.raises(InvalidSpec):
         gen_ellipsoids(10, 20.0, 0.0, seed=0)
+    # NaN passes `cond < 1` and would give an isotropic instance; inf overflows
+    for cond in (float("nan"), float("inf")):
+        with pytest.raises(InvalidSpec, match="condition number"):
+            gen_ellipsoids(10, cond, 1e-3, seed=0)
 
 
 def test_wedge_geometry():
