@@ -4,7 +4,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -108,6 +107,9 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     os.makedirs(out, exist_ok=True)
     cells = [(m, s) for m in config.methods for s in config.seeds]
     if jobs > 1:
+        # loaded here, not with the module: it brings logging, queue, traceback
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda c: _run_one(config, *c), cells))
     else:

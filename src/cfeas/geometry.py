@@ -125,9 +125,11 @@ class Ellipsoid:
             raise ValueError("ellipsoid axis scales must be positive and finite")
         if not np.isfinite(self.center).all():
             raise ValueError("ellipsoid center must be finite")
-        # extreme axis scales bracket the projection's multiplier
+        # extreme axis scales bracket the projection's multiplier, and the
+        # reciprocal axis scales give its weights mu / (mu + lam)
         object.__setattr__(self, "d_min", float(np.min(self.diag)))
         object.__setattr__(self, "d_max", float(np.max(self.diag)))
+        object.__setattr__(self, "mu", 1.0 / self.diag)
 
     @property
     def dim(self) -> int:
@@ -208,42 +210,54 @@ SetDescriptor = Union[Halfspace, Box, Ball, Ellipsoid, PsdCone, EntryMask]
 def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     """Projection onto an ellipsoid with its Lagrange multiplier.
 
-    With u = z - center and w_i = 1 / (1 + lam d_i), the projection is
-    center + u w and the multiplier solves the secular equation
-    S(lam) = sum_i d_i u_i^2 w_i^2 = 1, S decreasing on [0, inf).
+    With u = z - center and w_i = 1 / (1 + lam d_i) = mu_i / (mu_i + lam),
+    mu_i = 1 / d_i, the projection is center + u w and the multiplier solves
+    the secular equation S(lam) = sum_i d_i u_i^2 w_i^2 = 1, S decreasing on
+    [0, inf).
 
     Bracket: with s = S(0), s / (1 + lam d_max)^2 <= S(lam) <= s / (1 + lam
-    d_min)^2, so the root lies in [(sqrt(s) - 1) / d_max, (sqrt(s) - 1) / d_min].
+    d_min)^2, so the root lies in [lo, hi] = [(sqrt(s) - 1) / d_max,
+    (sqrt(s) - 1) / d_min].
 
-    Newton runs on g(lam) = S(lam)^(-1/2) - 1, started at the lower end, with
-    the step lam + (S^(3/2) - S) / T, T = sum_i d_i^2 u_i^2 w_i^3.  In the
-    variables mu_i = 1 / d_i, S = sum_i (u_i / sqrt(d_i))^2 / (lam + mu_i)^2
-    is the trust-region secular function, whose reciprocal square root is
-    concave and increasing for lam > -min(mu) (More & Sorensen, 1983).  A
-    tangent of a concave function lies above it, so each Newton step from the
-    left of the root stays left of it and climbs monotonically; on a ball
-    (d_min = d_max) the first iterate is the root.  Rounding that breaks this
-    is caught by the bisection safeguard inside the bracket.
+    Newton runs on g(lam) = S(lam)^(-1/2) - 1 from lam = 0, with the step
+    lam + (S^(3/2) - S) / T, T = sum_i d_i^2 u_i^2 w_i^3.  In the variables
+    mu_i, S = sum_i (u_i / sqrt(d_i))^2 / (lam + mu_i)^2 is the trust-region
+    secular function, whose reciprocal square root is concave and increasing
+    for lam > -min(mu) (More & Sorensen, 1983).  A tangent of a concave
+    function lies above it, so each Newton step from the left of the root
+    stays left of it and climbs monotonically; on a ball (d_min = d_max) the
+    first iterate is the root.
+
+    At lam = 0 every w_i is 1, so S(0) = s and T(0) = sum_i d_i^2 u_i^2 need
+    no evaluation, and the first iterate is lam_1 = (s^(3/2) - s) / T(0) in
+    closed form.  It lies in [lo, root]: T(0) <= d_max sum_i d_i u_i^2 =
+    d_max s gives lam_1 >= lo, and concavity gives lam_1 <= root.  Rounding
+    that puts lam_1 outside [lo, hi) starts Newton at lo instead, and
+    rounding that breaks monotonicity later is caught by the bisection
+    safeguard inside the bracket.
     """
     z = as_point(z)
     if z.shape[0] != e.dim:
         raise DimensionMismatch(f"point dim {z.shape[0]} != set dim {e.dim}")
-    d = e.diag
     u = z - e.center
-    du2 = d * u * u
-    s = float(du2.sum())
+    du = e.diag * u
+    s = float(du.dot(u))
     if s <= 1.0:
         return z.copy(), 0.0
     if not math.isfinite(s):
         # a non-finite point (or an overflowing one) has no Newton solve
         raise NonconvergedProjection("projection produced non-finite entries")
 
-    root = math.sqrt(s) - 1.0
-    lo, hi = root / e.d_max, root / e.d_min
-    d2u2 = du2 * d
-    lam = lo
+    sqrt_s = math.sqrt(s)
+    lo, hi = (sqrt_s - 1.0) / e.d_max, (sqrt_s - 1.0) / e.d_min
+    lam = (s * sqrt_s - s) / float(du.dot(du))
+    if not lo <= lam < hi:
+        lam = lo
+    mu = e.mu
+    du2 = du * u
+    d2u2 = du * du
     for _ in range(_ELLIPSOID_MAX_ITER):
-        w = 1.0 / (1.0 + lam * d)
+        w = mu / (mu + lam)
         w2 = w * w
         S = float(du2.dot(w2))
         if abs(S - 1.0) <= _ELLIPSOID_RESIDUAL_TOL:
@@ -320,6 +334,8 @@ class ProblemPair:
             raise DimensionMismatch("X and Y must share ambient dimension")
         if self.z0.shape[0] != self.X.dim:
             raise DimensionMismatch("z0 dimension does not match the sets")
+        if self.s_ref is not None and self.s_ref.shape[0] != self.X.dim:
+            raise DimensionMismatch("s_ref dimension does not match the sets")
         if not np.all(np.isfinite(self.z0)):
             raise InvalidSpec("z0 has non-finite entries")
 

@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import DimensionMismatch, InvalidSpec
 from .geometry import (
     Ball,
     Box,
@@ -32,6 +32,26 @@ from .solver import METHODS, Constant, Table, Vanishing
 DEFAULT_TANGENCY_GAP = 1e-3
 
 
+def _checked_by(ranges):
+    """Mark a generator with the check of its parameters' ranges, which the
+    generator makes first and the bench config loader makes alone, without
+    generating an instance."""
+
+    def mark(gen):
+        gen.ranges = ranges
+        return gen
+
+    return mark
+
+
+def _matrix_completion_ranges(n: int, r: int, obs_frac: float) -> None:
+    if not 0 < r < n:
+        raise InvalidSpec(f"need 0 < rank < n, got rank={r}, n={n}")
+    if not 0.0 < obs_frac <= 1.0:
+        raise InvalidSpec(f"obs_frac must lie in (0, 1], got {obs_frac}")
+
+
+@_checked_by(_matrix_completion_ranges)
 def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> ProblemPair:
     """PSD matrix completion: X = PSD cone, Y = entries pinned on a mask.
 
@@ -48,10 +68,7 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     again, so a kernel's leading P_Y does nothing on this family: YXY acts as
     XY, and the deeper kernel here is XYXY.
     """
-    if not 0 < r < n:
-        raise InvalidSpec(f"need 0 < rank < n, got rank={r}, n={n}")
-    if not 0.0 < obs_frac <= 1.0:
-        raise InvalidSpec(f"obs_frac must lie in (0, 1], got {obs_frac}")
+    _matrix_completion_ranges(n, r, obs_frac)
     rng = make_rng(seed)
     b = rng.standard_normal((n, r))
     a = b @ b.T
@@ -87,6 +104,16 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     return pair
 
 
+def _ellipsoids_ranges(n: int, cond: float, tangency_gap: float) -> None:
+    if not 1.0 <= cond < math.inf:
+        raise InvalidSpec(f"condition number must be finite and >= 1, got {cond}")
+    if not 0.0 < tangency_gap < 1.0:
+        raise InvalidSpec(f"tangency_gap must lie in (0, 1), got {tangency_gap}")
+    if n < 1:
+        raise InvalidSpec("dimension must be >= 1")
+
+
+@_checked_by(_ellipsoids_ranges)
 def gen_ellipsoids(
     n: int, cond: float, tangency_gap: float = DEFAULT_TANGENCY_GAP, seed: int = 0
 ) -> ProblemPair:
@@ -98,12 +125,7 @@ def gen_ellipsoids(
     intersection therefore has nonempty interior and s_ref = 0 is feasible.
     z0 is a seeded random point at roughly the ellipsoid diameter from s_ref.
     """
-    if not 1.0 <= cond < math.inf:
-        raise InvalidSpec(f"condition number must be finite and >= 1, got {cond}")
-    if not 0.0 < tangency_gap < 1.0:
-        raise InvalidSpec(f"tangency_gap must lie in (0, 1), got {tangency_gap}")
-    if n < 1:
-        raise InvalidSpec("dimension must be >= 1")
+    _ellipsoids_ranges(n, cond, tangency_gap)
     rng = make_rng(seed)
     d1 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
     d2 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
@@ -130,6 +152,14 @@ def gen_ellipsoids(
     )
 
 
+def _halfspace_wedge_ranges(n: int, theta: float) -> None:
+    if not 0.0 < theta < math.pi / 2:
+        raise InvalidSpec(f"theta must lie in (0, pi/2), got {theta}")
+    if n < 2:
+        raise InvalidSpec("wedge needs dimension >= 2")
+
+
+@_checked_by(_halfspace_wedge_ranges)
 def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
     """Two halfspaces through the origin whose normals meet at angle pi - theta.
 
@@ -137,10 +167,7 @@ def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
     bound holds globally with constant omega = sin(theta / 2) in the plane
     spanned by the normals; omega is recorded in the metadata for rate tests.
     """
-    if not 0.0 < theta < math.pi / 2:
-        raise InvalidSpec(f"theta must lie in (0, pi/2), got {theta}")
-    if n < 2:
-        raise InvalidSpec("wedge needs dimension >= 2")
+    _halfspace_wedge_ranges(n, theta)
     rng = make_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     u1, u2 = basis[:, 0], basis[:, 1]
@@ -325,7 +352,10 @@ _PAIR_FIELDS = (
 def pair_from_json(doc: dict) -> ProblemPair:
     """Inverse of pair_to_json; a malformed document raises InvalidSpec."""
     x, y, z0, s_ref = read_fields(doc, "instance", _PAIR_FIELDS)
-    return ProblemPair(X=x, Y=y, z0=z0, s_ref=s_ref, metadata=doc.get("metadata", {}))
+    try:
+        return ProblemPair(X=x, Y=y, z0=z0, s_ref=s_ref, metadata=doc.get("metadata", {}))
+    except DimensionMismatch as exc:
+        raise InvalidSpec(f"instance: {exc}") from None
 
 
 def save_pair(pair: ProblemPair, path) -> None:
@@ -363,7 +393,8 @@ def schedule_from_json(doc):
 
 
 def _generator_doc(doc) -> dict:
-    read_variant(doc, "{} generator", GENERATORS, "family")
+    gen, args = read_variant(doc, "{} generator", GENERATORS, "family")
+    gen.ranges(*args)
     return dict(doc)
 
 

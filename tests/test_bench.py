@@ -131,11 +131,15 @@ def test_plotdata_empty_rejected(tmp_path):
         emit_convergence_plotdata({}, str(tmp_path / "p.csv"))
 
 
-def test_run_matrix_collects_failures(tmp_path):
-    doc = _config_doc(str(tmp_path / "run"), seeds=(0,))
-    doc["generator"] = {"family": "ellipsoids", "n": 20, "cond": -1.0}
-    summary, report = run_matrix(ExperimentConfig.from_json(doc))
+def test_run_matrix_collects_failures(tmp_path, monkeypatch):
+    def failing(family, seed, **params):
+        raise InvalidSpec("generator failed")
+
+    monkeypatch.setattr(cfeas.bench, "generate", failing)
+    config = ExperimentConfig.from_json(_config_doc(str(tmp_path / "run"), seeds=(0,)))
+    summary, report = run_matrix(config)
     assert len(report["failures"]) == 3
+    assert all(f["error"] == "InvalidSpec: generator failed" for f in report["failures"])
     assert all(np.isnan(row["mean_iters"]) for row in summary)
 
 

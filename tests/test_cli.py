@@ -2,12 +2,15 @@
 import csv
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from cfeas.problems import gen_halfspace_wedge, pair_to_json
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def test_gen_and_solve_instance(tmp_path, capsys):
@@ -226,6 +229,18 @@ def _nan_radius(doc):
     doc["X"] = {"variant": "ball", "center": [0.0, 0.0, 0.0, 0.0], "radius": float("nan")}
 
 
+def _short_z0(doc):
+    doc["z0"] = doc["z0"][:2]
+
+
+def _short_s_ref(doc):
+    doc["s_ref"] = doc["s_ref"][:2]
+
+
+def _psd_cone_of_another_order(doc):
+    doc["X"] = {"variant": "psd_cone", "order": 3}
+
+
 @pytest.mark.parametrize(
     "edit,words",
     [
@@ -233,8 +248,19 @@ def _nan_radius(doc):
         (_non_numeric_z0, ["instance", "'z0'"]),
         (_nan_z0, ["z0", "non-finite"]),
         (_nan_radius, ["set X (ball)", "finite"]),
+        (_short_z0, ["instance", "z0 dimension"]),
+        (_short_s_ref, ["instance", "s_ref dimension"]),
+        (_psd_cone_of_another_order, ["instance", "X and Y", "dimension"]),
     ],
-    ids=["missing_field", "wrong_type", "nan_z0", "nan_radius"],
+    ids=[
+        "missing_field",
+        "wrong_type",
+        "nan_z0",
+        "nan_radius",
+        "short_z0",
+        "short_s_ref",
+        "psd_order",
+    ],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
     rc = main(["solve", "--instance", _write_instance(tmp_path, edit), "--eps", "1e-8"])
@@ -281,6 +307,11 @@ _NAME_WITH_SLASH = {
     "methods": [{"name": "a/b"}],
     "seeds": [0],
 }
+_NEGATIVE_COND = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": -1},
+    "methods": [{"name": "m"}],
+    "seeds": [0],
+}
 
 
 @pytest.mark.parametrize(
@@ -291,6 +322,7 @@ _NAME_WITH_SLASH = {
         ('{"generator": {"family": "ellipsoids",', ["not JSON"]),
         (json.dumps(_SAME_NAME_TWICE), ["method name", "'m'", "twice"]),
         (json.dumps(_NAME_WITH_SLASH), ["method name", "'a/b'", "file-name component"]),
+        (json.dumps(_NEGATIVE_COND), ["'generator'", "condition number", "-1"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -298,6 +330,7 @@ _NAME_WITH_SLASH = {
         "not_json",
         "same_method_name_twice",
         "method_name_with_slash",
+        "generator_parameter_out_of_range",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
@@ -379,3 +412,21 @@ def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("usage error:")
     for word in words:
         assert word in err
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "cfeas", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+        )
+
+    done = run("--help")
+    assert done.returncode == EXIT_OK
+    assert "oracle-check" in done.stdout
+    done = run("solve", "--family", "ellipsoids", "--n", "10", "--kernel", "XZ")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("usage error:") and "kernel token" in done.stderr

@@ -99,6 +99,14 @@ LOADER_ONLY = {
     "kernel_not_ending_in_y": _method(kernel="YX"),
     "method_name_given_twice": _with(methods=[{"name": "m"}, {"name": "m", "method": "map"}]),
     "method_name_not_one_file_name_component": _method(name="a/b"),
+    # generator parameter ranges, checked without generating an instance
+    "cond_below_one": _generator(cond=-1),
+    "n_zero": _generator(n=0),
+    "tangency_gap_outside_0_1": _generator(tangency_gap=1.0),
+    "rank_not_below_n": _with(
+        generator={"family": "matrix_completion", "n": 4, "rank": 4, "obs_frac": 0.5}
+    ),
+    "theta_outside_0_pi_2": _with(generator={"family": "halfspace_wedge", "n": 4, "theta": 2.0}),
     # JSON Schema's "integer" admits a number with a zero fraction
     "integral_float_where_integer_belongs": _with(max_iter=100.0),
 }

@@ -6,8 +6,10 @@ the point) or far away (up to 1e4 times a unit normal), some with no offset
 along the longest axis.  Arrays come from a seeded generator so that one
 example stays cheap; hypothesis chooses the seeds and the regime.
 """
+import math
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cfeas.geometry import Ellipsoid, project, project_ellipsoid_multiplier
@@ -19,6 +21,8 @@ PROPERTY_SETTINGS = settings(max_examples=150)
 # bisection bracket wide enough for every multiplier drawn here: the multiplier
 # is at most (sqrt(s) - 1) / min(diag) < 1e9
 ORACLE_LAM_MAX = 1e12
+# residuals |S(lam) - 1| the kernel and the oracle stop at
+KERNEL_RESIDUAL, ORACLE_RESIDUAL = 1e-13, 1e-12
 
 
 @st.composite
@@ -93,3 +97,42 @@ def test_point_inside_is_returned_unchanged(case):
     p, lam = project_ellipsoid_multiplier(e, z)
     assert lam == 0.0
     assert np.array_equal(p, z)
+
+
+def _secular(e, u, lam):
+    """S(lam) and T(lam), summed directly: -2 T is the slope of S."""
+    w = 1.0 / (1.0 + lam * e.diag)
+    a = e.diag * u * u * w * w
+    return float(a.sum()), float((a * e.diag * w).sum())
+
+
+@PROPERTY_SETTINGS
+@given(ellipsoid_and_point())
+def test_first_newton_step_lies_between_the_lower_bracket_end_and_the_root(case):
+    """The kernel starts Newton at its first iterate from lam = 0, in closed
+    form (s^(3/2) - s) / T(0), falling back to lo = (sqrt(s) - 1) / d_max if
+    rounding puts it below lo.  In exact arithmetic lo <= lam_1 <= root."""
+    e, z, _ = case
+    u = z - e.center
+    s, t0 = _secular(e, u, 0.0)
+    assume(s > 1.0)
+    lam1 = (s * math.sqrt(s) - s) / t0
+    lo = (math.sqrt(s) - 1.0) / e.d_max
+    # both ends cancel in sqrt(s) - 1, which is exact to about eps / (s - 1)
+    assert lam1 >= lo * (1.0 - 8e-16 * s / (s - 1.0))
+    assert _secular(e, u, lam1)[0] >= 1.0 - KERNEL_RESIDUAL
+
+
+@PROPERTY_SETTINGS
+@given(ellipsoid_and_point())
+def test_multiplier_matches_bisection_oracle(case):
+    """The multipliers agree to 1e-8 relative, or within the interval that the
+    two residual tolerances leave: S falls with slope at least 2 T(lam_max)
+    between them, so that interval has width at most the summed residuals
+    over 2 T(lam_max) (doubled here for rounding)."""
+    e, z, _ = case
+    _, lam = project_ellipsoid_multiplier(e, z)
+    _, want = ellipsoid_bisection(e, z, lam_max=ORACLE_LAM_MAX)
+    slope = 2.0 * _secular(e, z - e.center, max(lam, want))[1]
+    spread = 2.0 * (KERNEL_RESIDUAL + ORACLE_RESIDUAL) / slope
+    assert abs(lam - want) <= 1e-8 * want + spread

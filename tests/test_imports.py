@@ -1,9 +1,11 @@
-"""The package, its command line and its bench load without scipy or
-jsonschema, and no module imports a name it never uses.
+"""The package, its command line and its bench load without scipy,
+jsonschema or concurrent.futures, and no module imports a name it never uses.
 
 scipy serves one test oracle only; importing it with the package would cost
 more than the rest of the import together.  jsonschema only checks, in the
 tests, that the printed bench config schema agrees with the loader.
+concurrent.futures serves `bench --jobs` above 1 only, and loads logging,
+queue and traceback with it.
 """
 import ast
 import os
@@ -18,7 +20,8 @@ def test_import_path_leaves_scipy_out():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     code = (
         "import sys, cfeas, cfeas.cli, cfeas.bench; "
-        "print([name for name in ('scipy', 'jsonschema') if name in sys.modules])"
+        "print([name for name in ('scipy', 'jsonschema', 'concurrent.futures') "
+        "if name in sys.modules])"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
