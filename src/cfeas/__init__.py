@@ -1,5 +1,6 @@
 """Circumcentered-reflection solvers for two-set convex feasibility problems."""
 
+from .bench import write_trace_csv
 from .circumcentering import circumcenter
 from .geometry import (
     Ball,
@@ -46,7 +47,6 @@ from .solver import (
     estimate_rate_from_merits,
     schedule_value,
     solve,
-    write_trace_csv,
 )
 
 __version__ = "0.1.0"

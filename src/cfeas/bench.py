@@ -1,10 +1,12 @@
-"""Experiment matrices: seeded runs, aggregation, plot data, oracle suites."""
+"""Experiment matrices: seeded runs, aggregation, oracle suites, and the
+files a run reads and writes."""
 from __future__ import annotations
 
 import csv
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import List, Optional
 
 import numpy as np
@@ -15,27 +17,16 @@ from .errors import EmptyInput, InvalidSpec
 from .geometry import project, project_psd
 from .operators import centralize, pcrm
 from .problems import CONFIG_FIELDS, SCHEDULES, generate, read_fields
-from .solver import (
-    STATUS_NUMERICAL_FAILURE,
-    Constant,
-    SolveTrace,
-    SolverConfig,
-    write_trace_csv,
-)
+from .solver import STATUS_NUMERICAL_FAILURE, Constant, IterationRecord, SolveTrace, SolverConfig
 
-SUMMARY_COLUMNS = [
-    "method",
-    "alpha",
-    "kernel",
-    "mean_iters",
-    "mean_time_s",
-    "mean_final_delta",
-    "mean_projections",
-]
+# a trace file's columns are IterationRecord's fields, in order
+_TRACE_COLUMNS = [f.name for f in fields(IterationRecord)]
+_trace_row = attrgetter(*_TRACE_COLUMNS)
 
-def _schedule_label(schedule) -> str:
+
+def _schedule_label(schedule):
     if isinstance(schedule, Constant):
-        return repr(schedule.alpha)
+        return schedule.alpha
     return next(kind for kind, (make, _) in SCHEDULES.items() if isinstance(schedule, make))
 
 
@@ -120,8 +111,9 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     by_method: dict = {}
     for r in results:
         by_method.setdefault(r.method, []).append(r)
-        if r.trace is not None:
-            write_trace_csv(r.trace, os.path.join(out, f"trace_{r.method}_{r.seed}.csv"))
+    traces = {f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None}
+    for name, trace in traces.items():
+        write_trace_csv(trace, os.path.join(out, f"trace_{name}.csv"))
 
     summary_rows = []
     for m in config.methods:
@@ -149,11 +141,11 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
         )
 
     write_summary_csv(summary_rows, os.path.join(out, "summary.csv"))
-    traces = {
-        f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None
-    }
     if traces:
-        emit_convergence_plotdata(traces, os.path.join(out, "plotdata.csv"))
+        emit_convergence_plotdata(
+            {name: ((r.k, r.delta) for r in t.records) for name, t in traces.items()},
+            os.path.join(out, "plotdata.csv"),
+        )
 
     failures = [
         {"method": r.method, "seed": r.seed, "error": r.error or r.trace.failure}
@@ -184,28 +176,53 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     return summary_rows, report
 
 
+def write_trace_csv(trace: SolveTrace, path) -> None:
+    """One row per iteration and one column per IterationRecord field.  csv
+    writes floats in shortest round-trip form (NaN as nan) and None as ""."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_TRACE_COLUMNS)
+        writer.writerows(map(_trace_row, trace.records))
+
+
+def read_run_gaps(run_dir) -> dict:
+    """{name: (k, delta) rows} of every trace_<name>.csv in run_dir, in file
+    name order.  k and delta are read by column name, so traces with fewer or
+    more columns read the same; a file without both, or with a value that
+    does not parse, raises InvalidSpec naming it."""
+    gaps = {}
+    for name in sorted(os.listdir(run_dir)):
+        if not (name.startswith("trace_") and name.endswith(".csv")):
+            continue
+        path = os.path.join(run_dir, name)
+        try:
+            with open(path, newline="") as fh:
+                rows = [(int(row["k"]), float(row["delta"])) for row in csv.DictReader(fh)]
+        except (KeyError, TypeError, ValueError, csv.Error) as exc:
+            raise InvalidSpec(f"trace {path}: not a trace CSV ({exc!r})") from None
+        gaps[name[len("trace_"):-len(".csv")]] = rows
+    if not gaps:
+        raise EmptyInput(f"no trace_*.csv files in {run_dir}")
+    return gaps
+
+
 def write_summary_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
-        for row in rows:
-            out = dict(row)
-            for key in ("mean_iters", "mean_time_s", "mean_final_delta", "mean_projections"):
-                out[key] = repr(float(out[key]))
-            writer.writerow(out)
+        writer.writerows(rows)
 
 
-def emit_convergence_plotdata(traces: dict, path) -> None:
-    """Long-format CSV method,k,delta; strictly positive gaps only."""
-    if not traces:
+def emit_convergence_plotdata(gaps: dict, path) -> None:
+    """Long-format CSV method,k,delta from {name: (k, delta) rows}; strictly
+    positive gaps only."""
+    if not gaps:
         raise EmptyInput("no traces to plot")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "k", "delta"])
-        for name, trace in traces.items():
-            for r in trace.records:
-                if r.delta > 0.0:
-                    writer.writerow([name, r.k, repr(r.delta)])
+        for name, rows in gaps.items():
+            writer.writerows((name, k, delta) for k, delta in rows if delta > 0.0)
 
 
 def oracle_check(suite: str, seeds=range(10)) -> dict:

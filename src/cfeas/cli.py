@@ -3,10 +3,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .bench import ExperimentConfig, emit_convergence_plotdata, oracle_check, run_matrix
+from .bench import (
+    ExperimentConfig,
+    emit_convergence_plotdata,
+    oracle_check,
+    read_run_gaps,
+    run_matrix,
+    write_trace_csv,
+)
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
 from .problems import (
@@ -19,7 +25,7 @@ from .problems import (
     save_pair,
     schedule_from_json,
 )
-from .solver import METHODS, STATUS_CONVERGED, SolverConfig, read_trace_csv, solve, write_trace_csv
+from .solver import METHODS, STATUS_CONVERGED, SolverConfig, solve
 
 EXIT_OK = 0
 EXIT_RUN_FAILURE = 1
@@ -178,15 +184,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plotdata(args) -> int:
-    traces = {
-        name[len("trace_"):-len(".csv")]: read_trace_csv(os.path.join(args.run_dir, name))
-        for name in sorted(os.listdir(args.run_dir))
-        if name.startswith("trace_") and name.endswith(".csv")
-    }
-    if not traces:
-        print(f"no trace_*.csv files in {args.run_dir}", file=sys.stderr)
-        return EXIT_RUN_FAILURE
-    emit_convergence_plotdata(traces, args.out)
+    emit_convergence_plotdata(read_run_gaps(args.run_dir), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 

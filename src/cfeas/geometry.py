@@ -135,10 +135,6 @@ class Ellipsoid:
     def dim(self) -> int:
         return self.center.shape[0]
 
-    def quadratic(self, z: np.ndarray) -> float:
-        u = z - self.center
-        return float(self.diag @ (u * u))
-
     def _project(self, z: np.ndarray) -> np.ndarray:
         return project_ellipsoid_multiplier(self, z)[0]
 
@@ -338,6 +334,8 @@ class ProblemPair:
             raise DimensionMismatch("s_ref dimension does not match the sets")
         if not np.all(np.isfinite(self.z0)):
             raise InvalidSpec("z0 has non-finite entries")
+        if self.s_ref is not None and not np.all(np.isfinite(self.s_ref)):
+            raise InvalidSpec("s_ref has non-finite entries")
 
     @property
     def dim(self) -> int:

@@ -1,7 +1,6 @@
 """Iteration drivers, step schedules, trace capture, and rate estimation."""
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -35,8 +34,6 @@ STATUS_NUMERICAL_FAILURE = "numerical_failure"
 CLASS_LINEAR = "linear"
 CLASS_SUPERLINEAR = "superlinear"
 CLASS_INCONCLUSIVE = "inconclusive"
-
-TRACE_COLUMNS = ["k", "delta", "dist_sref", "alpha", "cum_proj_alg", "cum_proj_diag", "wall_ns"]
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,8 @@ class SolverConfig:
 
 @dataclass(slots=True)
 class IterationRecord:
-    """One row of a trace.  Not frozen: the solver builds one per iteration,
+    """One row of a trace; its fields, in order, are the trace file's columns
+    (`bench.write_trace_csv`).  Not frozen: the solver builds one per iteration,
     and a frozen dataclass's __init__ sets each field through
     object.__setattr__, which costs several times a plain slot store."""
 
@@ -288,57 +286,3 @@ def estimate_rate(trace: SolveTrace) -> RateEstimate:
     """Rate estimate from a solve trace's recorded feasibility gaps."""
     return estimate_rate_from_merits(trace.deltas)
 
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_trace_csv(trace: SolveTrace, path) -> None:
-    """One row per iteration; floats in shortest round-trip decimal form."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            writer.writerow(
-                [
-                    r.k,
-                    _fmt(r.delta),
-                    _fmt(r.dist_sref),
-                    _fmt(r.alpha),
-                    r.cum_proj_alg,
-                    r.cum_proj_diag,
-                    r.wall_ns,
-                ]
-            )
-
-
-def read_trace_csv(path) -> SolveTrace:
-    """Inverse of write_trace_csv for the columns it writes.
-
-    The CSV does not hold the centralization inner product, the status or the
-    final point: they read back as NaN, "unknown" and None.  A file that is
-    not such a CSV raises InvalidSpec naming it.
-    """
-    records = []
-    try:
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                records.append(
-                    IterationRecord(
-                        k=int(row["k"]),
-                        delta=float(row["delta"]),
-                        dist_sref=float(row["dist_sref"]) if row["dist_sref"] else None,
-                        centralization_ip=math.nan,
-                        alpha=float(row["alpha"]) if row["alpha"] else math.nan,
-                        cum_proj_alg=int(row["cum_proj_alg"]),
-                        cum_proj_diag=int(row["cum_proj_diag"]),
-                        wall_ns=int(row["wall_ns"]),
-                    )
-                )
-    except (KeyError, TypeError, ValueError, csv.Error) as exc:
-        raise InvalidSpec(f"trace {path}: not a trace CSV ({exc!r})") from None
-    return SolveTrace(records=records, status="unknown", final_point=None)

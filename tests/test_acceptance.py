@@ -19,16 +19,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import cfeas
-from cfeas.bench import oracle_check
 from cfeas.circumcentering import circumcenter
 from cfeas.errors import InsufficientTrace
 from cfeas.geometry import (
     Ball,
-    Box,
-    Halfspace,
     ProblemPair,
     distance,
     gap,

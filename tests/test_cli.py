@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import cfeas.bench
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
 from cfeas.problems import gen_halfspace_wedge, pair_to_json
 
@@ -184,6 +185,65 @@ def test_plotdata_empty_dir_fails(tmp_path):
     assert rc == EXIT_RUN_FAILURE
 
 
+_WEDGE_BENCH = {
+    "generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
+    "methods": [{"name": "crm"}, {"name": "map", "method": "map"}],
+    "seeds": [0, 1],
+    "eps": 1e-8,
+    "max_iter": 1000,
+}
+
+
+def test_plotdata_reads_k_and_delta_by_name(tmp_path):
+    """plotdata on a run directory gives the run's own plotdata.csv, also
+    when the traces lack columns that only newer traces have."""
+    run, old = tmp_path / "run", tmp_path / "old"
+    config = dict(_WEDGE_BENCH, generator={"family": "ellipsoids", "n": 12, "cond": 5.0})
+    assert main(["bench", "--config", _bench_config(tmp_path, json.dumps(config)),
+                 "--out", str(run)]) == EXIT_OK
+    old.mkdir()
+    for path in run.glob("trace_*.csv"):
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert rows and "centralization_ip" in rows[0]
+        with open(old / path.name, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, [c for c in rows[0] if c != "centralization_ip"],
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+    for run_dir in (run, old):
+        plot = tmp_path / f"plot_{run_dir.name}.csv"
+        assert main(["plotdata", "--run-dir", str(run_dir), "--out", str(plot)]) == EXIT_OK
+        assert plot.read_bytes() == (run / "plotdata.csv").read_bytes()
+
+
+def test_bench_eps_and_max_iter_flags_override_the_config(tmp_path):
+    out = tmp_path / "run"
+    argv = ["bench", "--config", _bench_config(tmp_path, json.dumps(_WEDGE_BENCH)),
+            "--out", str(out), "--eps", "0.25", "--max-iter", "1"]
+    assert main(argv) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["eps"] == 0.25 and report["max_iter"] == 1
+    assert all(run["iterations"] <= 1 for run in report["runs"])
+
+
+def test_bench_failed_runs_exit_1_with_one_line_each(tmp_path, monkeypatch, capsys):
+    def failing(family, seed, **params):
+        raise ValueError(f"no instance for seed {seed}")
+
+    monkeypatch.setattr(cfeas.bench, "generate", failing)
+    argv = ["bench", "--config", _bench_config(tmp_path, json.dumps(_WEDGE_BENCH)),
+            "--out", str(tmp_path / "run")]
+    assert main(argv) == EXIT_RUN_FAILURE
+    assert capsys.readouterr().err.splitlines() == [
+        "4 failed runs:",
+        "  crm seed 0: ValueError: no instance for seed 0",
+        "  crm seed 1: ValueError: no instance for seed 1",
+        "  map seed 0: ValueError: no instance for seed 0",
+        "  map seed 1: ValueError: no instance for seed 1",
+    ]
+
+
 def test_oracle_check_command(capsys):
     rc = main(["oracle-check", "circumcenter", "--seed-range", "0..3"])
     assert rc == EXIT_OK
@@ -237,6 +297,14 @@ def _short_s_ref(doc):
     doc["s_ref"] = doc["s_ref"][:2]
 
 
+def _nan_s_ref(doc):
+    doc["s_ref"][0] = float("nan")
+
+
+def _inf_s_ref(doc):
+    doc["s_ref"][1] = float("-inf")
+
+
 def _psd_cone_of_another_order(doc):
     doc["X"] = {"variant": "psd_cone", "order": 3}
 
@@ -251,6 +319,8 @@ def _psd_cone_of_another_order(doc):
         (_short_z0, ["instance", "z0 dimension"]),
         (_short_s_ref, ["instance", "s_ref dimension"]),
         (_psd_cone_of_another_order, ["instance", "X and Y", "dimension"]),
+        (_nan_s_ref, ["s_ref", "non-finite"]),
+        (_inf_s_ref, ["s_ref", "non-finite"]),
     ],
     ids=[
         "missing_field",
@@ -260,6 +330,8 @@ def _psd_cone_of_another_order(doc):
         "short_z0",
         "short_s_ref",
         "psd_order",
+        "nan_s_ref",
+        "inf_s_ref",
     ],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
@@ -323,6 +395,7 @@ _NEGATIVE_COND = {
         (json.dumps(_SAME_NAME_TWICE), ["method name", "'m'", "twice"]),
         (json.dumps(_NAME_WITH_SLASH), ["method name", "'a/b'", "file-name component"]),
         (json.dumps(_NEGATIVE_COND), ["'generator'", "condition number", "-1"]),
+        (json.dumps([_BOGUS_METHOD]), ["bench config", "not a JSON object"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -331,6 +404,7 @@ _NEGATIVE_COND = {
         "same_method_name_twice",
         "method_name_with_slash",
         "generator_parameter_out_of_range",
+        "config_is_an_array",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):

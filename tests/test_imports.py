@@ -1,5 +1,6 @@
 """The package, its command line and its bench load without scipy,
-jsonschema or concurrent.futures, and no module imports a name it never uses.
+jsonschema or concurrent.futures, and no module of the package or of the
+tests imports a name it never uses.
 
 scipy serves one test oracle only; importing it with the package would cost
 more than the rest of the import together.  jsonschema only checks, in the
@@ -12,7 +13,8 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
 def test_import_path_leaves_scipy_out():
@@ -47,11 +49,18 @@ def _unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-def test_no_unused_imports_in_the_package():
-    package = os.path.join(SRC, "cfeas")
+def _unused_in(directory, skip=()):
     unused = {
-        name: _unused_imports(os.path.join(package, name))
-        for name in sorted(os.listdir(package))
-        if name.endswith(".py") and name != "__init__.py"
+        name: _unused_imports(os.path.join(directory, name))
+        for name in sorted(os.listdir(directory))
+        if name.endswith(".py") and name not in skip
     }
-    assert {name: found for name, found in unused.items() if found} == {}
+    return {name: found for name, found in unused.items() if found}
+
+
+def test_no_unused_imports_in_the_package():
+    assert _unused_in(os.path.join(SRC, "cfeas"), skip=("__init__.py",)) == {}
+
+
+def test_no_unused_imports_in_the_tests():
+    assert _unused_in(TESTS) == {}

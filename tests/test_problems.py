@@ -67,6 +67,12 @@ def test_matrix_completion_invalid_params():
         gen_matrix_completion(5, 2, 0.0, seed=0)
 
 
+def _form(e, z):
+    """The ellipsoid's quadratic form sum_i diag_i (z_i - center_i)^2."""
+    u = z - e.center
+    return float(e.diag @ (u * u))
+
+
 def _reference_mask(n, obs_frac, rng):
     """The mask sampler as a loop over draws: (rows, cols, draws taken).
 
@@ -182,8 +188,8 @@ def test_ellipsoids_interior_margin():
         assert isinstance(pair.X, Ellipsoid)
         assert isinstance(pair.Y, Ellipsoid)
         # the reference point sits inside both with quadratic margin = gap
-        assert pair.X.quadratic(pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
-        assert pair.Y.quadratic(pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
+        assert _form(pair.X, pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
+        assert _form(pair.Y, pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
         assert contains(pair.X, pair.s_ref)
         assert contains(pair.Y, pair.s_ref)
 
@@ -198,8 +204,8 @@ def test_ellipsoids_interior_point_probe():
         u = rng.standard_normal(pair.dim)
         u /= np.linalg.norm(u)
         probe = pair.s_ref + step * u
-        assert pair.X.quadratic(probe) < 1.0
-        assert pair.Y.quadratic(probe) < 1.0
+        assert _form(pair.X, probe) < 1.0
+        assert _form(pair.Y, probe) < 1.0
 
 
 def test_ellipsoids_condition_number_range():

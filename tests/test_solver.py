@@ -1,13 +1,15 @@
 """Schedules, the iteration driver, rate estimation, and trace output."""
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import cfeas.geometry
+from cfeas.bench import write_trace_csv
 from cfeas.errors import InsufficientTrace, InvalidSchedule
-from cfeas.geometry import Ball, EntryMask, Halfspace, ProblemPair, distance, project
+from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
 from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, generate
 from cfeas.solver import (
@@ -16,16 +18,14 @@ from cfeas.solver import (
     CLASS_SUPERLINEAR,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
-    TRACE_COLUMNS,
     Constant,
+    IterationRecord,
     SolverConfig,
     Table,
     Vanishing,
     estimate_rate_from_merits,
-    read_trace_csv,
     schedule_value,
     solve,
-    write_trace_csv,
 )
 
 
@@ -173,21 +173,42 @@ def test_trace_csv_roundtrip(tmp_path):
         assert float(row["delta"]) == rec.delta
 
 
-def test_read_trace_csv_inverts_write_trace_csv(tmp_path):
-    pair = gen_ellipsoids(20, 10.0, seed=7)
-    trace = solve(pair, SolverConfig(eps=1e-10))
-    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    write_trace_csv(trace, first)
-    back = read_trace_csv(first)
-    assert back.iterations == trace.iterations and back.status == "unknown"
-    columns = [c for c in TRACE_COLUMNS if c not in ("alpha", "dist_sref")]
-    for got, want in zip(back.records, trace.records, strict=True):
-        assert [getattr(got, c) for c in columns] == [getattr(want, c) for c in columns]
-        assert got.dist_sref == want.dist_sref
-        assert got.alpha == want.alpha or (math.isnan(got.alpha) and math.isnan(want.alpha))
-        assert math.isnan(got.centralization_ip)
-    write_trace_csv(back, second)
-    assert second.read_bytes() == first.read_bytes()
+def _without_s_ref(pair):
+    return ProblemPair(pair.X, pair.Y, pair.z0)
+
+
+@pytest.mark.parametrize(
+    "pair,cfg",
+    [
+        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(eps=1e-10)),
+        (_without_s_ref(gen_ellipsoids(20, 10.0, seed=7)), SolverConfig(eps=1e-10)),
+        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(schedule=Constant(np.float64(0.3)))),
+        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(method="map", eps=1e-6)),
+    ],
+    ids=["crm", "no_s_ref", "numpy_alpha", "map"],
+)
+def test_trace_csv_holds_every_record_field(tmp_path, pair, cfg):
+    """Each column is one IterationRecord field, parsed back without loss:
+    None as "", NaN as nan, floats in shortest round-trip form."""
+    trace = solve(pair, cfg)
+    out = tmp_path / "trace.csv"
+    write_trace_csv(trace, out)
+    with open(out, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    assert reader.fieldnames == names
+    assert len(rows) == len(trace.records) > 1
+    for row, rec in zip(rows, trace.records):
+        for name in names:
+            cell, value = row[name], getattr(rec, name)
+            if value is None:
+                assert cell == "", name
+            elif isinstance(value, int):
+                assert cell == str(value), name
+            else:
+                got = float(cell)
+                assert got == value or (math.isnan(got) and math.isnan(value)), name
 
 
 def test_map_iteration_counts_on_ell_map_instances():
