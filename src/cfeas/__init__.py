@@ -10,7 +10,6 @@ from .geometry import (
     Halfspace,
     ProblemPair,
     PsdCone,
-    contains,
     distance,
     gap,
     project,

@@ -185,22 +185,32 @@ def write_trace_csv(trace: SolveTrace, path) -> None:
         writer.writerows(map(_trace_row, trace.records))
 
 
+def _cell_order(name: str):
+    """run_matrix's (method, seed) order for a trace named <method>_<seed>;
+    a name without an integer seed sorts as a method of its own."""
+    method, _, seed = name.rpartition("_")
+    return (method, int(seed)) if seed.isdecimal() else (name, -1)
+
+
 def read_run_gaps(run_dir) -> dict:
-    """{name: (k, delta) rows} of every trace_<name>.csv in run_dir, in file
-    name order.  k and delta are read by column name, so traces with fewer or
-    more columns read the same; a file without both, or with a value that
-    does not parse, raises InvalidSpec naming it."""
+    """{name: (k, delta) rows} of every trace_<name>.csv in run_dir, in
+    run_matrix's (method, seed) order.  k and delta are read by column name,
+    so traces with fewer or more columns read the same; a file without both,
+    or with a value that does not parse, raises InvalidSpec naming it."""
+    names = [
+        name[len("trace_"):-len(".csv")]
+        for name in os.listdir(run_dir)
+        if name.startswith("trace_") and name.endswith(".csv")
+    ]
     gaps = {}
-    for name in sorted(os.listdir(run_dir)):
-        if not (name.startswith("trace_") and name.endswith(".csv")):
-            continue
-        path = os.path.join(run_dir, name)
+    for name in sorted(names, key=_cell_order):
+        path = os.path.join(run_dir, f"trace_{name}.csv")
         try:
             with open(path, newline="") as fh:
                 rows = [(int(row["k"]), float(row["delta"])) for row in csv.DictReader(fh)]
         except (KeyError, TypeError, ValueError, csv.Error) as exc:
             raise InvalidSpec(f"trace {path}: not a trace CSV ({exc!r})") from None
-        gaps[name[len("trace_"):-len(".csv")]] = rows
+        gaps[name] = rows
     if not gaps:
         raise EmptyInput(f"no trace_*.csv files in {run_dir}")
     return gaps

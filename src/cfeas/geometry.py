@@ -215,29 +215,42 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     d_min)^2, so the root lies in [lo, hi] = [(sqrt(s) - 1) / d_max,
     (sqrt(s) - 1) / d_min].
 
-    Newton runs on g(lam) = S(lam)^(-1/2) - 1 from lam = 0, with the step
-    lam + (S^(3/2) - S) / T, T = sum_i d_i^2 u_i^2 w_i^3.  In the variables
-    mu_i, S = sum_i (u_i / sqrt(d_i))^2 / (lam + mu_i)^2 is the trust-region
-    secular function, whose reciprocal square root is concave and increasing
-    for lam > -min(mu) (More & Sorensen, 1983).  A tangent of a concave
-    function lies above it, so each Newton step from the left of the root
-    stays left of it and climbs monotonically; on a ball (d_min = d_max) the
-    first iterate is the root.
+    Newton runs on g(lam) = S(lam)^(-1/2) - 1, with the step lam + (S^(3/2)
+    - S) / T, T = sum_i d_i^2 u_i^2 w_i^3.  In the variables mu_i, S =
+    sum_i (u_i / sqrt(d_i))^2 / (lam + mu_i)^2 is the trust-region secular
+    function, whose reciprocal square root is concave and increasing for
+    lam > -min(mu) (More & Sorensen, 1983).  A tangent of a concave function
+    lies above it, so its zero lies left of the root wherever it is taken:
+    a step from the left of the root stays left and climbs monotonically,
+    and a step from the right returns to the left in one step.
 
-    At lam = 0 every w_i is 1, so S(0) = s and T(0) = sum_i d_i^2 u_i^2 need
-    no evaluation, and the first iterate is lam_1 = (s^(3/2) - s) / T(0) in
-    closed form.  It lies in [lo, root]: T(0) <= d_max sum_i d_i u_i^2 =
-    d_max s gives lam_1 >= lo, and concavity gives lam_1 <= root.  Rounding
-    that puts lam_1 outside [lo, hi) starts Newton at lo instead, and
-    rounding that breaks monotonicity later is caught by the bisection
-    safeguard inside the bracket.
+    Start.  With a = d u, s = a.u and the moments m1 = a.a, m2 = (d a).a,
+    m3 = (d a).(d a), the derivatives of g at lam = 0 are closed form:
+    g0 = s^(-1/2) - 1, g1 = s^(-3/2) m1, g2 = 3 s^(-5/2) m1^2 - 3 s^(-3/2) m2
+    (<= 0, since m1^2 <= s m2 by Cauchy-Schwarz) and g3 = 15 s^(-7/2) m1^3
+    - 27 s^(-5/2) m1 m2 + 12 s^(-3/2) m3.  The start is the Householder
+    step of order 3 from 0, lam = 3 g0 (2 g1^2 - g0 g2) / (-6 g1^3 + 6 g0 g1
+    g2 - g0^2 g3), written here relative to the Newton iterate h = -g0 / g1
+    = (s^(3/2) - s) / m1 as h (1 + h g2 / (2 g1)) / (1 + h g2 / g1 + h^2 g3
+    / (6 g1)), which needs no cube.  On a ball it is the root, and near one
+    it usually lands within the residual tolerance, so most projections
+    end at their first evaluation of S.  If the start is not finite or not
+    in [lo, hi), Newton starts at h, which lies in [lo, root]: m1 <= d_max
+    s gives h >= lo, and concavity gives h <= root.  If rounding puts h
+    outside [lo, hi) too, it starts at lo.  Rounding that breaks
+    monotonicity later is caught by the bisection safeguard inside the
+    bracket.
+
+    Evaluation.  With q = mu + lam, y = (mu u) / q is u w, the offset of the
+    result from the center, and dy = u / q is d u w, so S = dy.y and T =
+    dy.(y / q).
     """
     z = as_point(z)
     if z.shape[0] != e.dim:
         raise DimensionMismatch(f"point dim {z.shape[0]} != set dim {e.dim}")
     u = z - e.center
-    du = e.diag * u
-    s = float(du.dot(u))
+    a = e.diag * u
+    s = float(a.dot(u))
     if s <= 1.0:
         return z.copy(), 0.0
     if not math.isfinite(s):
@@ -246,30 +259,37 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
 
     sqrt_s = math.sqrt(s)
     lo, hi = (sqrt_s - 1.0) / e.d_max, (sqrt_s - 1.0) / e.d_min
-    lam = (s * sqrt_s - s) / float(du.dot(du))
+    da = e.diag * a
+    m1, m2, m3 = float(a.dot(a)), float(da.dot(a)), float(da.dot(da))
+    h = (s * sqrt_s - s) / m1
+    v = m1 / s
+    c2 = 3.0 * (v - m2 / m1)  # g2 / g1
+    c3 = 15.0 * v * v - 27.0 * m2 / s + 12.0 * m3 / m1  # g3 / g1
+    den = 1.0 + h * (c2 + h * c3 / 6.0)
+    lam = h * (1.0 + 0.5 * h * c2) / den if den else math.nan
     if not lo <= lam < hi:
-        lam = lo
+        lam = h if lo <= h < hi else lo
     mu = e.mu
-    du2 = du * u
-    d2u2 = du * du
+    mu_u = mu * u
     for _ in range(_ELLIPSOID_MAX_ITER):
-        w = mu / (mu + lam)
-        w2 = w * w
-        S = float(du2.dot(w2))
+        q = mu + lam
+        y = mu_u / q
+        dy = u / q
+        S = float(dy.dot(y))
         if abs(S - 1.0) <= _ELLIPSOID_RESIDUAL_TOL:
             break
         if S > 1.0:
             lo = lam
         else:
             hi = lam
-        T = float(d2u2.dot(w2 * w))
+        T = float(dy.dot(y / q))
         step = lam + (S * math.sqrt(S) - S) / T
         lam = step if lo < step < hi else 0.5 * (lo + hi)
     else:
         raise NonconvergedProjection(
             f"ellipsoid projection residual above {_ELLIPSOID_RESIDUAL_TOL}"
         )
-    return e.center + u * w, lam
+    return e.center + y, lam
 
 
 def project_psd(z, order: int) -> np.ndarray:
@@ -305,11 +325,6 @@ def project(set_: SetDescriptor, z) -> np.ndarray:
 def distance(set_: SetDescriptor, z) -> float:
     z = as_point(z)
     return float(np.linalg.norm(z - project(set_, z)))
-
-
-def contains(set_: SetDescriptor, z, rtol: float = MEMBERSHIP_RTOL) -> bool:
-    z = as_point(z)
-    return distance(set_, z) <= rtol * (1.0 + float(np.linalg.norm(z)))
 
 
 @dataclass

@@ -196,9 +196,11 @@ _WEDGE_BENCH = {
 
 def test_plotdata_reads_k_and_delta_by_name(tmp_path):
     """plotdata on a run directory gives the run's own plotdata.csv, also
-    when the traces lack columns that only newer traces have."""
+    when the traces lack columns that only newer traces have.  Twelve seeds
+    put seed 10 where integer order and file-name order differ."""
     run, old = tmp_path / "run", tmp_path / "old"
-    config = dict(_WEDGE_BENCH, generator={"family": "ellipsoids", "n": 12, "cond": 5.0})
+    config = dict(_WEDGE_BENCH, generator={"family": "ellipsoids", "n": 12, "cond": 5.0},
+                  seeds=list(range(12)))
     assert main(["bench", "--config", _bench_config(tmp_path, json.dumps(config)),
                  "--out", str(run)]) == EXIT_OK
     old.mkdir()

@@ -3,8 +3,9 @@
 Instances span dimensions 1-60 and axis scales log-uniform on [1, 1e6];
 points lie near the boundary (s - 1 down to 1e-15, s the quadratic form of
 the point) or far away (up to 1e4 times a unit normal), some with no offset
-along the longest axis.  Arrays come from a seeded generator so that one
-example stays cheap; hypothesis chooses the seeds and the regime.
+along the longest axis.  An extreme regime widens the axis scales to
+[1, 1e12] and the far points to 1e8.  Arrays come from a seeded generator so
+that one example stays cheap; hypothesis chooses the seeds and the regime.
 """
 import math
 
@@ -26,10 +27,12 @@ KERNEL_RESIDUAL, ORACLE_RESIDUAL = 1e-13, 1e-12
 
 
 @st.composite
-def ellipsoid_and_point(draw, inside=False):
+def ellipsoid_and_point(draw, inside=False, extreme=False):
+    """extreme=True widens the axis scales to [1, 1e12] and the far points to
+    1e8 times a unit normal."""
     n = draw(st.integers(1, 60))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    diag = 10.0 ** rng.uniform(0.0, 6.0, n)
+    diag = 10.0 ** rng.uniform(0.0, 12.0 if extreme else 6.0, n)
     e = Ellipsoid(rng.standard_normal(n), diag)
     u = rng.standard_normal(n)
     if draw(st.booleans()):
@@ -44,7 +47,7 @@ def ellipsoid_and_point(draw, inside=False):
         excess = 10.0 ** draw(st.floats(-15.0, 0.0))
         u = boundary * np.sqrt(1.0 + excess)
     else:
-        u = u * 10.0 ** draw(st.floats(0.0, 4.0))
+        u = u * 10.0 ** draw(st.floats(0.0, 8.0 if extreme else 4.0))
     return e, e.center + u, rng
 
 
@@ -83,6 +86,13 @@ def _form(e, z):
     return float(e.diag @ (u * u))
 
 
+def _secular(e, u, lam):
+    """S(lam) and T(lam), summed directly: -2 T is the slope of S."""
+    w = 1.0 / (1.0 + lam * e.diag)
+    a = e.diag * u * u * w * w
+    return float(a.sum()), float((a * e.diag * w).sum())
+
+
 @PROPERTY_SETTINGS
 @given(ellipsoid_and_point())
 def test_point_outside_lands_on_the_boundary(case):
@@ -97,6 +107,23 @@ def test_point_outside_lands_on_the_boundary(case):
 
 
 @PROPERTY_SETTINGS
+@given(st.one_of(ellipsoid_and_point(), ellipsoid_and_point(extreme=True)))
+def test_every_start_lands_on_the_boundary(case):
+    """Whichever start the kernel takes, it raises nothing and its multiplier
+    solves the secular equation, summed directly, to 1e-10.  In both regimes
+    some order-3 starts have a nonpositive denominator or fall outside [lo,
+    hi), so the fallback starts run too."""
+    e, z, _ = case
+    _, lam = project_ellipsoid_multiplier(e, z)
+    u = z - e.center
+    s = _secular(e, u, 0.0)[0]
+    if s > 1.0 + 1e-13:
+        assert lam > 0.0
+    if lam > 0.0:
+        assert abs(_secular(e, u, lam)[0] - 1.0) <= 1e-10
+
+
+@PROPERTY_SETTINGS
 @given(ellipsoid_and_point(inside=True))
 def test_point_inside_is_returned_unchanged(case):
     e, z, _ = case
@@ -105,19 +132,14 @@ def test_point_inside_is_returned_unchanged(case):
     assert np.array_equal(p, z)
 
 
-def _secular(e, u, lam):
-    """S(lam) and T(lam), summed directly: -2 T is the slope of S."""
-    w = 1.0 / (1.0 + lam * e.diag)
-    a = e.diag * u * u * w * w
-    return float(a.sum()), float((a * e.diag * w).sum())
-
-
 @PROPERTY_SETTINGS
 @given(ellipsoid_and_point())
 def test_first_newton_step_lies_between_the_lower_bracket_end_and_the_root(case):
-    """The kernel starts Newton at its first iterate from lam = 0, in closed
-    form (s^(3/2) - s) / T(0), falling back to lo = (sqrt(s) - 1) / d_max if
-    rounding puts it below lo.  In exact arithmetic lo <= lam_1 <= root."""
+    """The kernel's first fallback start, for when the order-3 start is not
+    finite or not in [lo, hi): Newton's first iterate from lam = 0, in
+    closed form (s^(3/2) - s) / T(0), itself falling back to lo = (sqrt(s) -
+    1) / d_max if rounding puts it outside [lo, hi).  In exact arithmetic
+    lo <= lam_1 <= root."""
     e, z, _ = case
     u = z - e.center
     s, t0 = _secular(e, u, 0.0)

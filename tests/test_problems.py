@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfeas.errors import InvalidSpec
-from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, contains, distance, gap
+from cfeas.geometry import MEMBERSHIP_RTOL, Ellipsoid, EntryMask, PsdCone, distance, gap
 from cfeas.problems import (
     gen_ellipsoids,
     gen_halfspace_wedge,
@@ -71,6 +71,11 @@ def _form(e, z):
     """The ellipsoid's quadratic form sum_i diag_i (z_i - center_i)^2."""
     u = z - e.center
     return float(e.diag @ (u * u))
+
+
+def _contains(set_, z):
+    """Membership at the solver's tolerance: dist(z, C) <= rtol (1 + ||z||)."""
+    return distance(set_, z) <= MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
 
 
 def _reference_mask(n, obs_frac, rng):
@@ -190,8 +195,8 @@ def test_ellipsoids_interior_margin():
         # the reference point sits inside both with quadratic margin = gap
         assert _form(pair.X, pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
         assert _form(pair.Y, pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
-        assert contains(pair.X, pair.s_ref)
-        assert contains(pair.Y, pair.s_ref)
+        assert _contains(pair.X, pair.s_ref)
+        assert _contains(pair.Y, pair.s_ref)
 
 
 def test_ellipsoids_interior_point_probe():
