@@ -1,5 +1,5 @@
-"""Experiment matrices: seeded runs, aggregation, oracle suites, and the
-files a run reads and writes."""
+"""Experiment matrices: seeded runs, aggregation, and the files a run reads
+and writes."""
 from __future__ import annotations
 
 import csv
@@ -11,11 +11,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from . import oracles, sampling
-from .circumcentering import circumcenter
 from .errors import EmptyInput, InvalidSpec
-from .geometry import project, project_psd
-from .operators import centralize, pcrm
 from .problems import CONFIG_FIELDS, SCHEDULES, generate, read_fields
 from .solver import STATUS_NUMERICAL_FAILURE, Constant, IterationRecord, SolveTrace, SolverConfig
 
@@ -47,11 +43,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         names = [m.name for m in self.methods]
-        for i, name in enumerate(names):  # a method's name names its trace files
-            if name in names[:i]:
-                raise InvalidSpec(f"method name {name!r} is given twice")
+        for name in names:
             if not name or os.path.basename(name) != name or "\0" in name:
                 raise InvalidSpec(f"method name {name!r} is not one file-name component")
+        # a run's method name and seed name its trace file, so neither repeats
+        for what, values in (("method name", names), ("seed", self.seeds)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise InvalidSpec(f"{what} {value!r} is given twice")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -94,6 +93,8 @@ def _run_one(config: ExperimentConfig, method: MethodSpec, seed: int) -> RunResu
 def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None):
     """Run every (method x seed) cell; write traces, summary.csv, plotdata.csv,
     report.json.  Returns (summary_rows, report)."""
+    if jobs < 1:
+        raise InvalidSpec(f"jobs must be at least 1, got {jobs}")
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     cells = [(m, s) for m in config.methods for s in config.seeds]
@@ -233,119 +234,3 @@ def emit_convergence_plotdata(gaps: dict, path) -> None:
         writer.writerow(["method", "k", "delta"])
         for name, rows in gaps.items():
             writer.writerows((name, k, delta) for k, delta in rows if delta > 0.0)
-
-
-def oracle_check(suite: str, seeds=range(10)) -> dict:
-    """Brute-force oracle comparisons; returns a machine-readable report."""
-    if suite == "projections":
-        failures = _check_projections(seeds)
-    elif suite == "circumcenter":
-        failures = _check_circumcenter(seeds)
-    elif suite == "invariants":
-        failures = _check_invariants(seeds)
-    else:
-        raise InvalidSpec(f"unknown oracle suite {suite!r}")
-    return {
-        "suite": suite,
-        "seeds": list(seeds),
-        "failures": failures,
-        "ok": not failures,
-    }
-
-
-def _check_projections(seeds) -> list:
-    failures = []
-    for seed in seeds:
-        rng = sampling.make_rng(1000 + seed)
-        ell = sampling.random_set("ellipsoid", rng, dim=6)
-        z = sampling.random_point(6, rng)
-        got = project(ell, z)
-        want, _ = oracles.ellipsoid_bisection(ell, z)
-        err = float(np.linalg.norm(got - want))
-        if err > 1e-8 * (1.0 + np.linalg.norm(want)):
-            failures.append({"seed": seed, "case": "ellipsoid", "error": err})
-        m = rng.standard_normal((4, 4))
-        m = 0.5 * (m + m.T)
-        got = project_psd(m.reshape(-1), 4).reshape(4, 4)
-        want = oracles.psd_nearest_descent(m)
-        err = float(np.linalg.norm(got - want))
-        if err > 1e-6 * (1.0 + np.linalg.norm(want)):
-            failures.append({"seed": seed, "case": "psd", "error": err})
-        for variant in ("halfspace", "box", "ball"):
-            set_ = sampling.random_set(variant, rng, dim=5)
-            z = sampling.random_point(5, rng)
-            p = project(set_, z)
-            p2 = project(set_, p)
-            err = float(np.linalg.norm(p - p2))
-            if err > 1e-12:
-                failures.append({"seed": seed, "case": f"{variant}-idempotence", "error": err})
-            x = sampling.random_member(set_, rng)
-            ip = float((z - p) @ (x - p))
-            if ip > 1e-9 * (1.0 + float(z @ z)):
-                failures.append({"seed": seed, "case": f"{variant}-characteristic", "error": ip})
-    return failures
-
-
-def _check_circumcenter(seeds) -> list:
-    failures = []
-    for seed in seeds:
-        rng = sampling.make_rng(2000 + seed)
-        dim = int(rng.integers(2, 8))
-        z = sampling.random_point(dim, rng)
-        v = sampling.random_point(dim, rng)
-        w = sampling.random_point(dim, rng)
-        c = circumcenter(z, v, w)
-        equi, span = oracles.circumcenter_residuals(z, v, w, c)
-        scale = 1.0 + float(np.linalg.norm(z))
-        if equi > 1e-9 * scale or span > 1e-9 * scale:
-            failures.append(
-                {"seed": seed, "case": "equidistance", "error": max(equi, span)}
-            )
-        # strictly centralized input via the centralizer on an overlapping
-        # ball pair (center distance < 2 keeps the intersection nonempty)
-        from .geometry import Ball, ProblemPair
-
-        c1 = rng.standard_normal(dim)
-        offset = rng.standard_normal(dim)
-        offset *= rng.uniform(0.0, 1.5) / np.linalg.norm(offset)
-        pair = ProblemPair(
-            X=Ball(c1, 1.0),
-            Y=Ball(c1 + offset, 1.0),
-            z0=np.zeros(dim),
-        )
-        y = project(pair.Y, sampling.random_point(dim, rng))
-        n, _ = centralize(pair, y, float(rng.uniform(0.2, 0.8)))
-        got, _ = pcrm(pair, n)
-        want = oracles.supporting_halfspace_projection(pair, n)
-        err = float(np.linalg.norm(got - want))
-        if err > 1e-8 * (1.0 + np.linalg.norm(want)):
-            failures.append({"seed": seed, "case": "pcrm-vs-qp", "error": err})
-    return failures
-
-
-def _check_invariants(seeds) -> list:
-    failures = []
-    for seed in seeds:
-        rng = sampling.make_rng(3000 + seed)
-        for variant in sampling.VARIANTS:
-            set_ = sampling.random_set(variant, rng)
-            dim = set_.dim
-            z = sampling.random_point(dim, rng)
-            w = sampling.random_point(dim, rng)
-            pz, pw = project(set_, z), project(set_, w)
-            if float(np.linalg.norm(pz - pw)) > float(np.linalg.norm(z - w)) + 1e-9:
-                failures.append({"seed": seed, "case": f"{variant}-nonexpansive"})
-            x = sampling.random_member(set_, rng)
-            lhs = float(np.linalg.norm(z - x)) ** 2
-            rhs = (
-                float(np.linalg.norm(z - pz)) ** 2
-                + float(np.linalg.norm(pz - x)) ** 2
-            )
-            if lhs < rhs - 1e-9 * (1.0 + lhs):
-                failures.append({"seed": seed, "case": f"{variant}-pythagorean"})
-            refl = 2.0 * pz - z
-            if abs(
-                float(np.linalg.norm(refl - pz)) - float(np.linalg.norm(z - pz))
-            ) > 1e-9 * (1.0 + np.linalg.norm(z)):
-                failures.append({"seed": seed, "case": f"{variant}-reflection"})
-    return failures

@@ -8,20 +8,21 @@ import sys
 from .bench import (
     ExperimentConfig,
     emit_convergence_plotdata,
-    oracle_check,
     read_run_gaps,
     run_matrix,
     write_trace_csv,
 )
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
+from .oracles import SUITES, oracle_check
 from .problems import (
     CONFIG_SCHEMA,
-    DEFAULT_TANGENCY_GAP,
     GENERATORS,
     generate,
     load_pair,
+    read_int,
     read_json,
+    read_number,
     save_pair,
     schedule_from_json,
 )
@@ -33,19 +34,20 @@ EXIT_USAGE = 2
 
 
 def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> None:
+    """--family, one flag per parameter of any family in GENERATORS, and --seed.
+    The parameter flags have no default: generate() fills in a family's
+    defaults and names a required parameter that is missing."""
     p.add_argument("--family", choices=list(GENERATORS), required=required)
-    p.add_argument("--n", type=int, default=30)
-    p.add_argument("--rank", type=int, default=3)
-    p.add_argument("--obs-frac", type=float, default=0.4)
-    p.add_argument("--cond", type=float, default=20.0)
-    p.add_argument("--tangency-gap", type=float, default=DEFAULT_TANGENCY_GAP)
-    p.add_argument("--theta", type=float, default=1.0)
+    flag_type = {read_int: int, read_number: float}
+    params = {key: read for _, fields in GENERATORS.values() for key, read, *_ in fields}
+    for key, read in params.items():
+        p.add_argument("--" + key.replace("_", "-"), type=flag_type[read])
     p.add_argument("--seed", type=int, default=0)
 
 
 def _generator_params(args) -> dict:
     _, fields = GENERATORS[args.family]
-    return {key: getattr(args, key) for key, *_ in fields}
+    return {key: getattr(args, key) for key, *_ in fields if getattr(args, key) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +58,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="materialize an instance as JSON")
+    gen.set_defaults(run=_cmd_gen)
     _add_generator_args(gen)
     gen.add_argument("--out", required=True)
 
     slv = sub.add_parser("solve", help="solve one instance and dump its trace")
+    slv.set_defaults(run=_cmd_solve)
     slv.add_argument("--instance", help="instance JSON from `gen`")
     _add_generator_args(slv, required=False)
     slv.add_argument("--method", choices=METHODS, default="crm")
@@ -74,6 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--trace-out")
 
     ben = sub.add_parser("bench", help="run an experiment matrix from a config file")
+    ben.set_defaults(run=_cmd_bench)
     ben.add_argument("--config")
     ben.add_argument("--print-schema", action="store_true")
     ben.add_argument("--jobs", type=int, default=1)
@@ -83,11 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--max-iter", type=int)
 
     plo = sub.add_parser("plotdata", help="long-format method,k,delta CSV from traces")
+    plo.set_defaults(run=_cmd_plotdata)
     plo.add_argument("--run-dir", required=True, help="directory with trace_*.csv files")
     plo.add_argument("--out", required=True)
 
     orc = sub.add_parser("oracle-check", help="run brute-force oracle comparisons")
-    orc.add_argument("suite", choices=["projections", "circumcenter", "invariants"])
+    orc.set_defaults(run=_cmd_oracle_check)
+    orc.add_argument("suite", choices=list(SUITES))
     orc.add_argument("--seed-range", default="0..9")
 
     return parser
@@ -197,19 +204,9 @@ def _cmd_oracle_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "plotdata":
-            return _cmd_plotdata(args)
-        if args.command == "oracle-check":
-            return _cmd_oracle_check(args)
+        return args.run(args)
     except InvalidSpec as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -219,7 +216,6 @@ def main(argv=None) -> int:
     except CfeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,9 +1,12 @@
-"""Independent brute-force oracles used for verification.
+"""Independent brute-force oracles, and the `oracle-check` suites that
+compare the library with them.
 
 Each oracle deliberately avoids the code path it cross-checks: the ellipsoid
 oracle bisects the multiplier instead of running Newton, the PSD oracle
 minimizes a factored objective instead of clamping eigenvalues, and the
-two-halfspace oracle enumerates active sets instead of circumcentering.
+two-halfspace oracle enumerates active sets instead of circumcentering.  The
+suites in SUITES call the library's projections, circumcenter and `pcrm` and
+compare them with these oracles, which themselves stay independent of it.
 """
 from __future__ import annotations
 
@@ -12,9 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import CfeasError
-from .geometry import Ellipsoid, Halfspace, ProblemPair, as_point, project
-from .sampling import make_rng
+from . import sampling
+from .circumcentering import circumcenter
+from .errors import CfeasError, InvalidSpec
+from .geometry import Ball, Ellipsoid, Halfspace, ProblemPair, as_point, project, project_psd
+from .operators import centralize, pcrm
 
 
 def ellipsoid_bisection(
@@ -67,7 +72,7 @@ def psd_nearest_descent(m: np.ndarray, seed: int = 0) -> np.ndarray:
     n = m.shape[0]
     sym = 0.5 * (m + m.T)
     scale = max(1.0, float(np.linalg.norm(sym)))
-    rng = make_rng(seed)
+    rng = sampling.make_rng(seed)
     l0 = math.sqrt(scale) * rng.standard_normal((n, n)) / math.sqrt(n)
 
     def fun(flat):
@@ -195,3 +200,120 @@ def circumcenter_residuals(z, v, w, c) -> tuple[float, float]:
     coef, *_ = np.linalg.lstsq(basis, c - z, rcond=None)
     span = float(np.linalg.norm(basis @ coef - (c - z)))
     return equi, span
+
+
+def oracle_check(suite: str, seeds=range(10)) -> dict:
+    """Run the suite SUITES names over seeds; returns a machine-readable report."""
+    if suite not in SUITES:
+        raise InvalidSpec(f"unknown oracle suite {suite!r}")
+    failures = SUITES[suite](seeds)
+    return {
+        "suite": suite,
+        "seeds": list(seeds),
+        "failures": failures,
+        "ok": not failures,
+    }
+
+
+def _check_projections(seeds) -> list:
+    failures = []
+    for seed in seeds:
+        rng = sampling.make_rng(1000 + seed)
+        ell = sampling.random_set("ellipsoid", rng, dim=6)
+        z = sampling.random_point(6, rng)
+        got = project(ell, z)
+        want, _ = ellipsoid_bisection(ell, z)
+        err = float(np.linalg.norm(got - want))
+        if err > 1e-8 * (1.0 + np.linalg.norm(want)):
+            failures.append({"seed": seed, "case": "ellipsoid", "error": err})
+        m = rng.standard_normal((4, 4))
+        m = 0.5 * (m + m.T)
+        got = project_psd(m.reshape(-1), 4).reshape(4, 4)
+        want = psd_nearest_descent(m)
+        err = float(np.linalg.norm(got - want))
+        if err > 1e-6 * (1.0 + np.linalg.norm(want)):
+            failures.append({"seed": seed, "case": "psd", "error": err})
+        for variant in ("halfspace", "box", "ball"):
+            set_ = sampling.random_set(variant, rng, dim=5)
+            z = sampling.random_point(5, rng)
+            p = project(set_, z)
+            p2 = project(set_, p)
+            err = float(np.linalg.norm(p - p2))
+            if err > 1e-12:
+                failures.append({"seed": seed, "case": f"{variant}-idempotence", "error": err})
+            x = sampling.random_member(set_, rng)
+            ip = float((z - p) @ (x - p))
+            if ip > 1e-9 * (1.0 + float(z @ z)):
+                failures.append({"seed": seed, "case": f"{variant}-characteristic", "error": ip})
+    return failures
+
+
+def _check_circumcenter(seeds) -> list:
+    failures = []
+    for seed in seeds:
+        rng = sampling.make_rng(2000 + seed)
+        dim = int(rng.integers(2, 8))
+        z = sampling.random_point(dim, rng)
+        v = sampling.random_point(dim, rng)
+        w = sampling.random_point(dim, rng)
+        c = circumcenter(z, v, w)
+        equi, span = circumcenter_residuals(z, v, w, c)
+        scale = 1.0 + float(np.linalg.norm(z))
+        if equi > 1e-9 * scale or span > 1e-9 * scale:
+            failures.append(
+                {"seed": seed, "case": "equidistance", "error": max(equi, span)}
+            )
+        # strictly centralized input via the centralizer on an overlapping
+        # ball pair (center distance < 2 keeps the intersection nonempty)
+        c1 = rng.standard_normal(dim)
+        offset = rng.standard_normal(dim)
+        offset *= rng.uniform(0.0, 1.5) / np.linalg.norm(offset)
+        pair = ProblemPair(
+            X=Ball(c1, 1.0),
+            Y=Ball(c1 + offset, 1.0),
+            z0=np.zeros(dim),
+        )
+        y = project(pair.Y, sampling.random_point(dim, rng))
+        n, _ = centralize(pair, y, float(rng.uniform(0.2, 0.8)))
+        got, _ = pcrm(pair, n)
+        want = supporting_halfspace_projection(pair, n)
+        err = float(np.linalg.norm(got - want))
+        if err > 1e-8 * (1.0 + np.linalg.norm(want)):
+            failures.append({"seed": seed, "case": "pcrm-vs-qp", "error": err})
+    return failures
+
+
+def _check_invariants(seeds) -> list:
+    failures = []
+    for seed in seeds:
+        rng = sampling.make_rng(3000 + seed)
+        for variant in sampling.VARIANTS:
+            set_ = sampling.random_set(variant, rng)
+            dim = set_.dim
+            z = sampling.random_point(dim, rng)
+            w = sampling.random_point(dim, rng)
+            pz, pw = project(set_, z), project(set_, w)
+            if float(np.linalg.norm(pz - pw)) > float(np.linalg.norm(z - w)) + 1e-9:
+                failures.append({"seed": seed, "case": f"{variant}-nonexpansive"})
+            x = sampling.random_member(set_, rng)
+            lhs = float(np.linalg.norm(z - x)) ** 2
+            rhs = (
+                float(np.linalg.norm(z - pz)) ** 2
+                + float(np.linalg.norm(pz - x)) ** 2
+            )
+            if lhs < rhs - 1e-9 * (1.0 + lhs):
+                failures.append({"seed": seed, "case": f"{variant}-pythagorean"})
+            refl = 2.0 * pz - z
+            if abs(
+                float(np.linalg.norm(refl - pz)) - float(np.linalg.norm(z - pz))
+            ) > 1e-9 * (1.0 + np.linalg.norm(z)):
+                failures.append({"seed": seed, "case": f"{variant}-reflection"})
+    return failures
+
+
+# suite name -> check(seeds), which returns the failures it found
+SUITES = {
+    "projections": _check_projections,
+    "circumcenter": _check_circumcenter,
+    "invariants": _check_invariants,
+}

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import cfeas.bench
-from cfeas.bench import ExperimentConfig, emit_convergence_plotdata, oracle_check, run_matrix
+from cfeas.bench import ExperimentConfig, emit_convergence_plotdata, run_matrix
 from cfeas.errors import EmptyInput, InvalidSpec
+from cfeas.oracles import oracle_check
 from cfeas.problems import CONFIG_SCHEMA, generate, schedule_from_json
 from cfeas.solver import Constant, Table, Vanishing
 

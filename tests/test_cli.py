@@ -1,4 +1,5 @@
 """End-to-end command-line flows driven through main(argv)."""
+import argparse
 import csv
 import json
 import os
@@ -8,8 +9,9 @@ import sys
 import pytest
 
 import cfeas.bench
-from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, main
-from cfeas.problems import gen_halfspace_wedge, pair_to_json
+from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, build_parser, main
+from cfeas.oracles import SUITES
+from cfeas.problems import GENERATORS, gen_halfspace_wedge, pair_to_json, read_int, read_number
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -105,7 +107,7 @@ def test_solve_requires_instance_or_family(capsys):
 
 def test_solve_bad_schedule_is_usage_error(capsys):
     rc = main(
-        ["solve", "--family", "ellipsoids", "--n", "10", "--schedule", "warmup:3"]
+        ["solve", "--family", "ellipsoids", "--n", "10", "--cond", "20", "--schedule", "warmup:3"]
     )
     assert rc == EXIT_USAGE
 
@@ -386,6 +388,11 @@ _NEGATIVE_COND = {
     "methods": [{"name": "m"}],
     "seeds": [0],
 }
+_SAME_SEED_TWICE = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m"}],
+    "seeds": [0, 0, 1],
+}
 
 
 @pytest.mark.parametrize(
@@ -398,6 +405,7 @@ _NEGATIVE_COND = {
         (json.dumps(_NAME_WITH_SLASH), ["method name", "'a/b'", "file-name component"]),
         (json.dumps(_NEGATIVE_COND), ["'generator'", "condition number", "-1"]),
         (json.dumps([_BOGUS_METHOD]), ["bench config", "not a JSON object"]),
+        (json.dumps(_SAME_SEED_TWICE), ["seed 0", "twice"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -407,6 +415,7 @@ _NEGATIVE_COND = {
         "method_name_with_slash",
         "generator_parameter_out_of_range",
         "config_is_an_array",
+        "same_seed_twice",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
@@ -421,8 +430,8 @@ def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, 
     assert not out.exists()  # rejected at load, before any cell runs
 
 
-_SOLVE = ["solve", "--family", "ellipsoids", "--n", "10"]
-_WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
+_SOLVE = ["solve", "--family", "ellipsoids", "--n", "10", "--cond", "20"]
+_WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
 
 
 @pytest.mark.parametrize(
@@ -438,7 +447,8 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
         (_SOLVE + ["--eps", "0"], ["eps"]),
         (_SOLVE + ["--eps", "nan"], ["eps", "nan"]),
         (_SOLVE + ["--eps", "inf"], ["eps", "inf"]),
-        (["gen", "--family", "ellipsoids", "--cond", "inf", "--out", "i.json"], ["condition"]),
+        (["gen", "--family", "ellipsoids", "--n", "30", "--cond", "inf", "--out", "i.json"],
+         ["condition"]),
         (_SOLVE + ["--max-iter", "0"], ["max_iter"]),
         (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
         (["bench"], ["--config"]),
@@ -448,6 +458,7 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
         (["gen", *_WEDGE, "--out", "nodir/inst.json"], ["nodir/inst.json"]),
         (["solve", *_WEDGE, "--trace-out", "nodir/t.csv"], ["nodir/t.csv"]),
         (["bench", "--config", "cfg.json", "--out", "binary.json"], ["binary.json"]),
+        (["bench", "--config", "cfg.json", "--jobs", "0"], ["jobs", "0"]),
     ],
     ids=[
         "empty_table",
@@ -470,6 +481,7 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4"]
         "gen_out_dir_missing",
         "trace_out_dir_missing",
         "bench_out_is_a_file",
+        "jobs_below_one",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
@@ -488,6 +500,7 @@ def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("usage error:")
     for word in words:
         assert word in err
+    assert sorted(os.listdir(tmp_path)) == ["binary.json", "cfg.json", "runs"]  # none written
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
@@ -503,6 +516,67 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     done = run("--help")
     assert done.returncode == EXIT_OK
     assert "oracle-check" in done.stdout
-    done = run("solve", "--family", "ellipsoids", "--n", "10", "--kernel", "XZ")
+    done = run("solve", "--family", "ellipsoids", "--n", "10", "--cond", "20", "--kernel", "XZ")
     assert done.returncode == EXIT_USAGE
     assert done.stderr.startswith("usage error:") and "kernel token" in done.stderr
+
+
+def _subparser(command):
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[command]
+
+
+# each command's flags besides the generator's
+_OWN_FLAGS = {
+    "gen": {"-h", "--help", "--out"},
+    "solve": {"-h", "--help", "--instance", "--method", "--kernel", "--schedule", "--eps",
+              "--max-iter", "--trace-out"},
+}
+_PARAMS = {key: read for _, fields in GENERATORS.values() for key, read, *_ in fields}
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+def test_generator_flags_are_the_generator_parameters(command):
+    """One flag per distinct GENERATORS parameter, typed by its reader and
+    without a default, plus --family and --seed."""
+    actions = {s: a for a in _subparser(command)._actions for s in a.option_strings}
+    flags = {"--" + key.replace("_", "-"): key for key in _PARAMS}
+    assert set(actions) - _OWN_FLAGS[command] == {"--family", "--seed", *flags}
+    for flag, key in flags.items():
+        assert actions[flag].type is {read_int: int, read_number: float}[_PARAMS[key]]
+        assert actions[flag].default is None
+
+
+_VALUES = {"n": "6", "rank": "2", "obs_frac": "0.5", "cond": "5", "theta": "0.5"}
+_REQUIRED = [
+    (family, key)
+    for family, (_, fields) in GENERATORS.items()
+    for key, _, *default in fields
+    if not default
+]
+
+
+@pytest.mark.parametrize("command", list(_OWN_FLAGS))
+@pytest.mark.parametrize("family,missing", _REQUIRED, ids=[f"{f}-{k}" for f, k in _REQUIRED])
+def test_missing_required_generator_flag_is_usage_error(tmp_path, capsys, command, family,
+                                                        missing):
+    _, fields = GENERATORS[family]
+    argv = [command, "--family", family]
+    for key, *_ in fields:
+        if key in _VALUES:
+            argv += ["--" + key.replace("_", "-"), _VALUES[key]]
+    if command == "gen":
+        argv += ["--out", str(tmp_path / "inst.json")]
+    assert main(argv) == EXIT_OK
+    i = argv.index("--" + missing.replace("_", "-"))
+    assert main(argv[:i] + argv[i + 2:]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {family} generator: missing field {missing!r}\n"
+
+
+def test_oracle_check_offers_and_runs_every_suite(monkeypatch, capsys):
+    monkeypatch.setitem(SUITES, "toy", lambda seeds: [{"seed": s} for s in seeds if s == 1])
+    (suite,) = (a for a in _subparser("oracle-check")._actions if a.dest == "suite")
+    assert suite.choices == list(SUITES)
+    assert main(["oracle-check", "toy", "--seed-range", "0..2"]) == EXIT_RUN_FAILURE
+    assert json.loads(capsys.readouterr().out)["failures"] == [{"seed": 1}]

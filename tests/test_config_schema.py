@@ -99,6 +99,7 @@ LOADER_ONLY = {
     "kernel_not_ending_in_y": _method(kernel="YX"),
     "method_name_given_twice": _with(methods=[{"name": "m"}, {"name": "m", "method": "map"}]),
     "method_name_not_one_file_name_component": _method(name="a/b"),
+    "seed_given_twice": _with(seeds=[0, 0, 1]),
     # generator parameter ranges, checked without generating an instance
     "cond_below_one": _generator(cond=-1),
     "n_zero": _generator(n=0),

@@ -1,6 +1,6 @@
 """The package, its command line and its bench load without scipy,
-jsonschema or concurrent.futures, and no module of the package or of the
-tests imports a name it never uses.
+jsonschema or concurrent.futures, the bench without the oracles, and no
+module of the package or of the tests imports a name it never uses.
 
 scipy serves one test oracle only; importing it with the package would cost
 more than the rest of the import together.  jsonschema only checks, in the
@@ -17,18 +17,24 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-def test_import_path_leaves_scipy_out():
+def _loaded_by(modules, names):
+    """Those of `names` that a fresh interpreter has loaded after importing `modules`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = (
-        "import sys, cfeas, cfeas.cli, cfeas.bench; "
-        "print([name for name in ('scipy', 'jsonschema', 'concurrent.futures') "
-        "if name in sys.modules])"
-    )
+    code = f"import sys, {modules}; print([name for name in {names!r} if name in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_path_leaves_scipy_out():
+    names = ("scipy", "jsonschema", "concurrent.futures")
+    assert _loaded_by("cfeas, cfeas.cli, cfeas.bench", names) == "[]"
+
+
+def test_bench_leaves_the_oracles_out():
+    assert _loaded_by("cfeas.bench", ("cfeas.oracles",)) == "[]"
 
 
 def _unused_imports(path):
@@ -49,17 +55,17 @@ def _unused_imports(path):
     return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
 
 
-def _unused_in(directory, skip=()):
+def _unused_in(directory):
     unused = {
         name: _unused_imports(os.path.join(directory, name))
         for name in sorted(os.listdir(directory))
-        if name.endswith(".py") and name not in skip
+        if name.endswith(".py")
     }
     return {name: found for name, found in unused.items() if found}
 
 
 def test_no_unused_imports_in_the_package():
-    assert _unused_in(os.path.join(SRC, "cfeas"), skip=("__init__.py",)) == {}
+    assert _unused_in(os.path.join(SRC, "cfeas")) == {}
 
 
 def test_no_unused_imports_in_the_tests():
