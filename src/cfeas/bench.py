@@ -1,5 +1,5 @@
-"""Experiment matrices: seeded runs, aggregation, and the files a run reads
-and writes."""
+"""Experiment matrices: seeded runs, aggregation, and every file a run
+writes."""
 from __future__ import annotations
 
 import csv
@@ -109,16 +109,13 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     # deterministic reduction order regardless of completion order
     results.sort(key=lambda r: (r.method, r.seed))
 
-    by_method: dict = {}
-    for r in results:
-        by_method.setdefault(r.method, []).append(r)
     traces = {f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None}
     for name, trace in traces.items():
         write_trace_csv(trace, os.path.join(out, f"trace_{name}.csv"))
 
     summary_rows = []
     for m in config.methods:
-        runs = [r for r in by_method.get(m.name, []) if r.trace is not None]
+        runs = [r for r in results if r.method == m.name and r.trace is not None]
         ok = [r.trace for r in runs if not r.failed]
         if ok:
             mean_iters = float(np.mean([t.iterations for t in ok]))
@@ -143,10 +140,7 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
 
     write_summary_csv(summary_rows, os.path.join(out, "summary.csv"))
     if traces:
-        emit_convergence_plotdata(
-            {name: ((r.k, r.delta) for r in t.records) for name, t in traces.items()},
-            os.path.join(out, "plotdata.csv"),
-        )
+        emit_convergence_plotdata(traces, os.path.join(out, "plotdata.csv"))
 
     failures = [
         {"method": r.method, "seed": r.seed, "error": r.error or r.trace.failure}
@@ -186,37 +180,6 @@ def write_trace_csv(trace: SolveTrace, path) -> None:
         writer.writerows(map(_trace_row, trace.records))
 
 
-def _cell_order(name: str):
-    """run_matrix's (method, seed) order for a trace named <method>_<seed>;
-    a name without an integer seed sorts as a method of its own."""
-    method, _, seed = name.rpartition("_")
-    return (method, int(seed)) if seed.isdecimal() else (name, -1)
-
-
-def read_run_gaps(run_dir) -> dict:
-    """{name: (k, delta) rows} of every trace_<name>.csv in run_dir, in
-    run_matrix's (method, seed) order.  k and delta are read by column name,
-    so traces with fewer or more columns read the same; a file without both,
-    or with a value that does not parse, raises InvalidSpec naming it."""
-    names = [
-        name[len("trace_"):-len(".csv")]
-        for name in os.listdir(run_dir)
-        if name.startswith("trace_") and name.endswith(".csv")
-    ]
-    gaps = {}
-    for name in sorted(names, key=_cell_order):
-        path = os.path.join(run_dir, f"trace_{name}.csv")
-        try:
-            with open(path, newline="") as fh:
-                rows = [(int(row["k"]), float(row["delta"])) for row in csv.DictReader(fh)]
-        except (KeyError, TypeError, ValueError, csv.Error) as exc:
-            raise InvalidSpec(f"trace {path}: not a trace CSV ({exc!r})") from None
-        gaps[name] = rows
-    if not gaps:
-        raise EmptyInput(f"no trace_*.csv files in {run_dir}")
-    return gaps
-
-
 def write_summary_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -224,13 +187,13 @@ def write_summary_csv(rows, path) -> None:
         writer.writerows(rows)
 
 
-def emit_convergence_plotdata(gaps: dict, path) -> None:
-    """Long-format CSV method,k,delta from {name: (k, delta) rows}; strictly
+def emit_convergence_plotdata(traces: dict, path) -> None:
+    """Long-format CSV method,k,delta from {name: SolveTrace}; strictly
     positive gaps only."""
-    if not gaps:
+    if not traces:
         raise EmptyInput("no traces to plot")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "k", "delta"])
-        for name, rows in gaps.items():
-            writer.writerows((name, k, delta) for k, delta in rows if delta > 0.0)
+        for name, trace in traces.items():
+            writer.writerows((name, r.k, r.delta) for r in trace.records if r.delta > 0.0)

@@ -1,28 +1,24 @@
-"""Command-line harness: gen, solve, bench, plotdata, oracle-check."""
+"""Command-line harness: gen, solve, bench, oracle-check."""
 from __future__ import annotations
 
 import argparse
 import json
 import sys
 
-from .bench import (
-    ExperimentConfig,
-    emit_convergence_plotdata,
-    read_run_gaps,
-    run_matrix,
-    write_trace_csv,
-)
+from .bench import ExperimentConfig, run_matrix, write_trace_csv
 from .errors import CfeasError, InvalidSpec
 from .operators import KernelSpec
 from .oracles import SUITES, oracle_check
 from .problems import (
     CONFIG_SCHEMA,
     GENERATORS,
+    SCHEDULES,
     generate,
     load_pair,
     read_int,
     read_json,
     read_number,
+    read_seed,
     save_pair,
     schedule_from_json,
 )
@@ -87,11 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--eps", type=float)
     ben.add_argument("--max-iter", type=int)
 
-    plo = sub.add_parser("plotdata", help="long-format method,k,delta CSV from traces")
-    plo.set_defaults(run=_cmd_plotdata)
-    plo.add_argument("--run-dir", required=True, help="directory with trace_*.csv files")
-    plo.add_argument("--out", required=True)
-
     orc = sub.add_parser("oracle-check", help="run brute-force oracle comparisons")
     orc.set_defaults(run=_cmd_oracle_check)
     orc.add_argument("suite", choices=list(SUITES))
@@ -101,13 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_schedule(text: str):
-    """constant:A | vanishing | table:A,B,... read as a schedule document."""
+    """constant:A | vanishing | table:A,B,... read as a schedule document.
+    The values fill the named kind's field, or 'value' for a kind that has
+    none, which its reader then rejects as an unknown field."""
     kind, _, rest = text.partition(":")
     doc = {"kind": kind}
     try:
-        if rest:
+        if rest and kind in SCHEDULES:
             values = [float(v) for v in rest.split(",")]
-            doc.update(alpha=values[0] if len(values) == 1 else values, values=values)
+            for key, read, *_ in SCHEDULES[kind][1] or [("value", None)]:
+                doc[key] = values[0] if len(values) == 1 and read is read_number else values
         return schedule_from_json(doc)
     except ValueError as exc:  # InvalidSpec included
         raise InvalidSpec(f"--schedule {text!r}: {exc}") from None
@@ -116,9 +110,9 @@ def _parse_schedule(text: str):
 def _parse_seed_range(text: str):
     lo, _, hi = text.partition("..")
     try:
-        seeds = list(range(int(lo), int(hi) + 1))
-    except ValueError:
-        raise InvalidSpec(f"--seed-range {text!r}: expected A..B") from None
+        seeds = list(range(read_seed(int(lo)), read_seed(int(hi)) + 1))
+    except ValueError as exc:  # InvalidSpec included
+        raise InvalidSpec(f"--seed-range {text!r}: expected A..B of seeds ({exc})") from None
     if not seeds:
         raise InvalidSpec(f"--seed-range {text!r}: empty, A must not exceed B")
     return seeds
@@ -187,12 +181,6 @@ def _cmd_bench(args) -> int:
         for f in report["failures"]:
             print(f"  {f['method']} seed {f['seed']}: {f['error']}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-    return EXIT_OK
-
-
-def _cmd_plotdata(args) -> int:
-    emit_convergence_plotdata(read_run_gaps(args.run_dir), args.out)
-    print(f"wrote {args.out}")
     return EXIT_OK
 
 

@@ -213,6 +213,16 @@ def _typed(json_type: str, types, convert):
 read_int = _typed("integer", numbers.Integral, int)  # not a float, a bool or a string
 read_number = _typed("number", numbers.Real, float)  # an integer too, not a bool or a string
 read_str = _typed("string", str, str)
+read_object = _typed("object", dict, dict)
+
+
+def _seed(value) -> int:
+    if not 0 <= read_int(value) < 2**128:  # the range of a Philox key
+        raise InvalidSpec(f"seed must lie in [0, 2**128), got {value}")
+    return int(value)
+
+
+read_seed = reader({**read_int.schema, "minimum": 0, "exclusiveMaximum": 2**128}, _seed)
 
 
 def read_list(read):
@@ -226,9 +236,11 @@ def read_list(read):
 
 def read_fields(doc, name: str, fields) -> list:
     """doc's values of the fields (key, read) or (key, read, default), in
-    table order; other keys are ignored.  Errors name `name` and the field."""
+    table order.  Errors name `name` and the field, or a key of no field."""
     if not isinstance(doc, dict):
         raise InvalidSpec(f"{name} must be a JSON object")
+    for key in sorted(doc.keys() - {key for key, *_ in fields}):
+        raise InvalidSpec(f"{name}: unknown field {key!r}")
     values = []
     for key, read, *default in fields:
         if key not in doc and not default:
@@ -250,6 +262,7 @@ def read_variant(doc, name: str, table: dict, tag: str, default=None):
     if not isinstance(variant, str) or variant not in table:
         raise InvalidSpec(f"unknown {tag} {variant!r}" if tag in doc else f"missing field {tag!r}")
     make, fields = table[variant]
+    doc = {key: value for key, value in doc.items() if key != tag}
     return make, read_fields(doc, name.format(variant), fields)
 
 
@@ -258,6 +271,7 @@ def fields_schema(fields) -> dict:
         "type": "object",
         "required": [key for key, _, *default in fields if not default],
         "properties": {key: read.schema for key, read, *_ in fields},
+        "additionalProperties": False,
     }
 
 
@@ -290,9 +304,10 @@ GENERATORS = {
 
 
 def generate(family: str, seed: int, **params) -> ProblemPair:
-    """The seeded `family` instance; params the family does not take are ignored."""
+    """The seeded `family` instance; InvalidSpec for a parameter the family
+    does not take, a missing one or a seed outside [0, 2**128)."""
     gen, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
-    return gen(*args, seed)
+    return gen(*args, read_seed(seed))
 
 
 _numbers, _indices = read_list(read_number), read_list(read_int)
@@ -346,14 +361,15 @@ _PAIR_FIELDS = (
     ("Y", lambda doc: _set_from_json(doc, "set Y")),
     ("z0", _numbers),
     ("s_ref", lambda value: None if value is None else _numbers(value), None),
+    ("metadata", read_object, {}),
 )
 
 
 def pair_from_json(doc: dict) -> ProblemPair:
     """Inverse of pair_to_json; a malformed document raises InvalidSpec."""
-    x, y, z0, s_ref = read_fields(doc, "instance", _PAIR_FIELDS)
+    x, y, z0, s_ref, metadata = read_fields(doc, "instance", _PAIR_FIELDS)
     try:
-        return ProblemPair(X=x, Y=y, z0=z0, s_ref=s_ref, metadata=doc.get("metadata", {}))
+        return ProblemPair(X=x, Y=y, z0=z0, s_ref=s_ref, metadata=metadata)
     except DimensionMismatch as exc:
         raise InvalidSpec(f"instance: {exc}") from None
 
@@ -418,7 +434,7 @@ _method = reader(
 CONFIG_FIELDS = (
     ("generator", _generator_doc),
     ("methods", read_list(_method)),
-    ("seeds", read_list(read_int)),
+    ("seeds", read_list(read_seed)),
     ("eps", read_number, 1e-8),
     ("max_iter", read_int, 100_000),
     ("output_dir", read_str, "bench_out"),

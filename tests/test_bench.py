@@ -127,6 +127,24 @@ def test_plotdata_long_format(tmp_path):
         assert float(row["delta"]) > 0.0
 
 
+def test_plotdata_rows_are_the_traces_in_method_then_seed_order(tmp_path):
+    """plotdata.csv holds each trace's positive (k, delta) rows, in (method,
+    integer seed) order.  Twelve seeds put seed 10 where integer order and
+    file-name order differ."""
+    out = tmp_path / "run"
+    run_matrix(ExperimentConfig.from_json(_config_doc(str(out), seeds=range(12))))
+    with open(out / "plotdata.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    want = [["method", "k", "delta"]]
+    for method in ("crm_half", "crm_vanish", "map"):
+        for seed in range(12):
+            name = f"{method}_{seed}"
+            with open(out / f"trace_{name}.csv", newline="") as fh:
+                trace = list(csv.DictReader(fh))
+            want += [[name, r["k"], r["delta"]] for r in trace if float(r["delta"]) > 0.0]
+    assert rows == want
+
+
 def test_plotdata_empty_rejected(tmp_path):
     with pytest.raises(EmptyInput):
         emit_convergence_plotdata({}, str(tmp_path / "p.csv"))

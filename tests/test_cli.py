@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -149,10 +150,7 @@ def test_bench_run_and_plotdata(tmp_path, capsys):
     assert "crm:" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out, "summary.csv"))
 
-    plot = str(tmp_path / "plot.csv")
-    rc = main(["plotdata", "--run-dir", out, "--out", plot])
-    assert rc == EXIT_OK
-    with open(plot) as fh:
+    with open(os.path.join(out, "plotdata.csv")) as fh:
         rows = list(csv.DictReader(fh))
     assert {r["method"] for r in rows} >= {"crm_0", "map_0"}
 
@@ -180,13 +178,6 @@ def test_bench_seed_range_override(tmp_path):
     assert "trace_crm_0.csv" not in names
 
 
-def test_plotdata_empty_dir_fails(tmp_path):
-    rc = main(
-        ["plotdata", "--run-dir", str(tmp_path), "--out", str(tmp_path / "p.csv")]
-    )
-    assert rc == EXIT_RUN_FAILURE
-
-
 _WEDGE_BENCH = {
     "generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
     "methods": [{"name": "crm"}, {"name": "map", "method": "map"}],
@@ -194,31 +185,6 @@ _WEDGE_BENCH = {
     "eps": 1e-8,
     "max_iter": 1000,
 }
-
-
-def test_plotdata_reads_k_and_delta_by_name(tmp_path):
-    """plotdata on a run directory gives the run's own plotdata.csv, also
-    when the traces lack columns that only newer traces have.  Twelve seeds
-    put seed 10 where integer order and file-name order differ."""
-    run, old = tmp_path / "run", tmp_path / "old"
-    config = dict(_WEDGE_BENCH, generator={"family": "ellipsoids", "n": 12, "cond": 5.0},
-                  seeds=list(range(12)))
-    assert main(["bench", "--config", _bench_config(tmp_path, json.dumps(config)),
-                 "--out", str(run)]) == EXIT_OK
-    old.mkdir()
-    for path in run.glob("trace_*.csv"):
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert rows and "centralization_ip" in rows[0]
-        with open(old / path.name, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, [c for c in rows[0] if c != "centralization_ip"],
-                                    extrasaction="ignore")
-            writer.writeheader()
-            writer.writerows(rows)
-    for run_dir in (run, old):
-        plot = tmp_path / f"plot_{run_dir.name}.csv"
-        assert main(["plotdata", "--run-dir", str(run_dir), "--out", str(plot)]) == EXIT_OK
-        assert plot.read_bytes() == (run / "plotdata.csv").read_bytes()
 
 
 def test_bench_eps_and_max_iter_flags_override_the_config(tmp_path):
@@ -313,6 +279,10 @@ def _psd_cone_of_another_order(doc):
     doc["X"] = {"variant": "psd_cone", "order": 3}
 
 
+def _extra_key(doc):
+    doc["z1"] = doc["z0"]
+
+
 @pytest.mark.parametrize(
     "edit,words",
     [
@@ -325,6 +295,7 @@ def _psd_cone_of_another_order(doc):
         (_psd_cone_of_another_order, ["instance", "X and Y", "dimension"]),
         (_nan_s_ref, ["s_ref", "non-finite"]),
         (_inf_s_ref, ["s_ref", "non-finite"]),
+        (_extra_key, ["instance", "unknown field", "'z1'"]),
     ],
     ids=[
         "missing_field",
@@ -336,6 +307,7 @@ def _psd_cone_of_another_order(doc):
         "psd_order",
         "nan_s_ref",
         "inf_s_ref",
+        "extra_key",
     ],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
@@ -393,6 +365,17 @@ _SAME_SEED_TWICE = {
     "methods": [{"name": "m"}],
     "seeds": [0, 0, 1],
 }
+_MISSPELLED_FIELDS = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0, "tangency_gp": 0.5},
+    "methods": [{"name": "m", "schedul": {"kind": "vanishing"}}],
+    "seeds": [0],
+    "max_iters": 1,
+}
+_NEGATIVE_SEED = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m"}],
+    "seeds": [-1],
+}
 
 
 @pytest.mark.parametrize(
@@ -406,6 +389,8 @@ _SAME_SEED_TWICE = {
         (json.dumps(_NEGATIVE_COND), ["'generator'", "condition number", "-1"]),
         (json.dumps([_BOGUS_METHOD]), ["bench config", "not a JSON object"]),
         (json.dumps(_SAME_SEED_TWICE), ["seed 0", "twice"]),
+        (json.dumps(_MISSPELLED_FIELDS), ["bench config", "unknown field", "'max_iters'"]),
+        (json.dumps(_NEGATIVE_SEED), ["'seeds'", "[0, 2**128)", "-1"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -416,6 +401,8 @@ _SAME_SEED_TWICE = {
         "generator_parameter_out_of_range",
         "config_is_an_array",
         "same_seed_twice",
+        "misspelled_fields",
+        "negative_seed",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
@@ -453,12 +440,14 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
         (["bench"], ["--config"]),
         (["oracle-check", "invariants", "--seed-range", "5..3"], ["--seed-range", "'5..3'"]),
-        (["plotdata", "--run-dir", "nosuch", "--out", "p.csv"], ["nosuch"]),
-        (["plotdata", "--run-dir", "runs", "--out", "p.csv"], ["trace_bad.csv", "not a trace"]),
         (["gen", *_WEDGE, "--out", "nodir/inst.json"], ["nodir/inst.json"]),
         (["solve", *_WEDGE, "--trace-out", "nodir/t.csv"], ["nodir/t.csv"]),
         (["bench", "--config", "cfg.json", "--out", "binary.json"], ["binary.json"]),
         (["bench", "--config", "cfg.json", "--jobs", "0"], ["jobs", "0"]),
+        (_SOLVE + ["--schedule", "vanishing:0.3"], ["--schedule", "unknown field 'value'"]),
+        (["gen", *_WEDGE, "--seed", "-1", "--out", "i.json"], ["seed", "[0, 2**128)", "-1"]),
+        (["oracle-check", "circumcenter", "--seed-range=-3000..-2999"],
+         ["--seed-range", "[0, 2**128)", "-3000"]),
     ],
     ids=[
         "empty_table",
@@ -476,19 +465,18 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         "solve_without_instance",
         "bench_without_config",
         "empty_seed_range",
-        "missing_run_dir",
-        "trace_not_csv",
         "gen_out_dir_missing",
         "trace_out_dir_missing",
         "bench_out_is_a_file",
         "jobs_below_one",
+        "value_for_vanishing",
+        "negative_gen_seed",
+        "negative_oracle_seeds",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
-    (tmp_path / "runs").mkdir()
-    (tmp_path / "runs" / "trace_bad.csv").write_text("k,delta\n0,abc\n")
     (tmp_path / "cfg.json").write_text(
         json.dumps({"generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
                     "methods": [{"name": "crm"}], "seeds": [0]})
@@ -500,7 +488,7 @@ def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("usage error:")
     for word in words:
         assert word in err
-    assert sorted(os.listdir(tmp_path)) == ["binary.json", "cfg.json", "runs"]  # none written
+    assert sorted(os.listdir(tmp_path)) == ["binary.json", "cfg.json"]  # none written
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
@@ -521,10 +509,22 @@ def test_python_dash_m_runs_the_command_line(tmp_path):
     assert done.stderr.startswith("usage error:") and "kernel token" in done.stderr
 
 
-def _subparser(command):
+def _commands() -> dict:
     parser = build_parser()
     (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return commands.choices[command]
+    return commands.choices
+
+
+def _subparser(command):
+    return _commands()[command]
+
+
+def test_readme_command_line_block_names_every_command():
+    """The README's `Command line` block shows each subcommand of the parser
+    and no other, so the two cannot drift apart."""
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        (block,) = re.findall(r"^## Command line\n\n```sh\n(.*?)```", fh.read(), flags=re.S | re.M)
+    assert set(re.findall(r"^cfeas (\S+)", block, flags=re.M)) == set(_commands())
 
 
 # each command's flags besides the generator's

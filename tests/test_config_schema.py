@@ -87,6 +87,13 @@ AGREED = {
     "generator_not_object": _with(generator="ellipsoids"),
     "methods_not_array": _with(methods={"name": "m"}),
     "not_an_object": [_BASE],
+    # a key that names no field, at each level, and a seed no Philox key takes
+    "unknown_config_key": _with(max_iters=1),
+    "unknown_method_key": _method(schedul={"kind": "vanishing"}),
+    "unknown_schedule_key": _method(schedule={"kind": "constant", "alpha": 0.3, "beta": 1}),
+    "unknown_generator_key": _generator(tangency_gp=0.5),
+    "seed_negative": _with(seeds=[-1]),
+    "seed_not_below_2_128": _with(seeds=[2**128]),
 }
 
 # range checks that only the loader makes: the schema accepts these documents

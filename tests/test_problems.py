@@ -279,6 +279,10 @@ def test_generate_dispatch_and_unknown_family():
     assert pair.metadata["family"] == "ellipsoids"
     with pytest.raises(InvalidSpec):
         generate("simplex", 0, n=3)
+    with pytest.raises(InvalidSpec, match="ellipsoids generator: unknown field 'theta'"):
+        generate("ellipsoids", 0, n=10, cond=5.0, theta=1.0)
+    with pytest.raises(InvalidSpec, match="seed must lie in"):
+        generate("ellipsoids", -1, n=10, cond=5.0)
 
 
 def test_json_roundtrip_all_families(tmp_path):
