@@ -7,7 +7,6 @@ import sys
 
 from .bench import ExperimentConfig, run_matrix, write_trace_csv
 from .errors import CfeasError, InvalidSpec
-from .operators import KernelSpec
 from .oracles import SUITES, oracle_check
 from .problems import (
     CONFIG_SCHEMA,
@@ -29,21 +28,30 @@ EXIT_RUN_FAILURE = 1
 EXIT_USAGE = 2
 
 
+# every generator parameter of any family, with its reader
+_PARAMS = {key: read for _, fields in GENERATORS.values() for key, read, *_ in fields}
+
+
 def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> None:
-    """--family, one flag per parameter of any family in GENERATORS, and --seed.
-    The parameter flags have no default: generate() fills in a family's
-    defaults and names a required parameter that is missing."""
+    """--family, one flag per parameter in _PARAMS, and --seed.  No flag has
+    a default: generate() fills in a family's defaults and seed 0, and names
+    a parameter that is missing or that the family does not take."""
     p.add_argument("--family", choices=list(GENERATORS), required=required)
     flag_type = {read_int: int, read_number: float}
-    params = {key: read for _, fields in GENERATORS.values() for key, read, *_ in fields}
-    for key, read in params.items():
+    for key, read in _PARAMS.items():
         p.add_argument("--" + key.replace("_", "-"), type=flag_type[read])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
 
 
 def _generator_params(args) -> dict:
-    _, fields = GENERATORS[args.family]
-    return {key: getattr(args, key) for key, *_ in fields if getattr(args, key) is not None}
+    """The generator flags given, --family and --seed included."""
+    given = {key: getattr(args, key) for key in ("family", "seed", *_PARAMS)}
+    return {key: value for key, value in given.items() if value is not None}
+
+
+def _generate(args):
+    params = _generator_params(args)
+    return generate(params.pop("family"), params.pop("seed", 0), **params)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,12 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--instance", help="instance JSON from `gen`")
     _add_generator_args(slv, required=False)
     slv.add_argument("--method", choices=METHODS, default="crm")
-    slv.add_argument("--kernel", default="XY")
-    slv.add_argument(
-        "--schedule",
-        default="constant:0.5",
-        help="constant:A | vanishing | table:A,B,...",
-    )
+    slv.add_argument("--kernel", help="crm only: a word over X and Y")
+    slv.add_argument("--schedule", help="crm only: constant:A | vanishing | table:A,B,...")
     slv.add_argument("--eps", type=float, default=1e-8)
     slv.add_argument("--max-iter", type=int, default=100_000)
     slv.add_argument("--trace-out")
@@ -119,23 +123,26 @@ def _parse_seed_range(text: str):
 
 
 def _cmd_gen(args) -> int:
-    pair = generate(args.family, args.seed, **_generator_params(args))
+    pair = _generate(args)
     save_pair(pair, args.out)
-    print(f"wrote {args.out} ({args.family}, seed {args.seed}, dim {pair.dim})")
+    print(f"wrote {args.out} ({args.family}, seed {pair.metadata['seed']}, dim {pair.dim})")
     return EXIT_OK
 
 
 def _cmd_solve(args) -> int:
+    flags = ["--" + key.replace("_", "-") for key in _generator_params(args)]
+    if args.instance and flags:
+        raise InvalidSpec(f"--instance takes no generator flags, got {' '.join(flags)}")
     if args.instance:
         pair = load_pair(args.instance)
     elif args.family:
-        pair = generate(args.family, args.seed, **_generator_params(args))
+        pair = _generate(args)
     else:
         raise InvalidSpec("solve needs --instance or --family")
     cfg = SolverConfig(
         method=args.method,
-        kernel=KernelSpec.from_string(args.kernel),
-        schedule=_parse_schedule(args.schedule),
+        kernel=args.kernel,
+        schedule=_parse_schedule(args.schedule) if args.schedule else None,
         eps=args.eps,
         max_iter=args.max_iter,
     )

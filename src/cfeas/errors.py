@@ -40,7 +40,3 @@ class InvalidSchedule(InvalidSpec):
 
 class InsufficientTrace(CfeasError, ValueError):
     """Trace too short (or too noisy) for convergence-order estimation."""
-
-
-class EmptyInput(CfeasError, ValueError):
-    """An operation that needs at least one element received none."""

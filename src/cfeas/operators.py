@@ -9,13 +9,10 @@ circumcenter step behave like a projection onto supporting halfspaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .circumcentering import circumcenter
 from .errors import DegenerateCircumcenter, InvalidKernel, NonconvergedProjection
 from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, project
-
-_TOKENS = ("X", "Y")
 
 # Strictness is a cosine test, ip < -tol * ||dx|| ||dy||: the inner product
 # itself shrinks like gap^2, so any fixed absolute scale would disable the
@@ -23,38 +20,30 @@ _TOKENS = ("X", "Y")
 STEP_COSINE_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Projection composition, innermost token first; e.g. ("X", "Y") = P_Y P_X."""
+class KernelSpec(str):
+    """A projection composition as its word over X and Y, innermost first:
+    "XY" = P_Y P_X.  The word is read as str(word).upper()."""
 
-    tokens: tuple
-
-    def __post_init__(self):
-        tokens = tuple(self.tokens)
-        object.__setattr__(self, "tokens", tokens)
-        if len(tokens) < 1:
+    def __new__(cls, word: str) -> "KernelSpec":
+        word = str(word).upper()
+        if len(word) < 1:
             raise InvalidKernel("kernel needs at least one token")
-        for tok in tokens:
-            if tok not in _TOKENS:
+        for tok in word:
+            if tok not in "XY":
                 raise InvalidKernel(f"unknown kernel token {tok!r}")
-        if tokens[-1] != "Y":
+        if word[-1] != "Y":
             raise InvalidKernel("outermost kernel token must be Y")
-        for a, b in zip(tokens, tokens[1:]):
+        for a, b in zip(word, word[1:]):
             if a == b:
                 raise InvalidKernel("adjacent identical tokens are redundant")
+        return super().__new__(cls, word)
 
     @classmethod
     def from_string(cls, s: str) -> "KernelSpec":
-        return cls(tuple(s.upper()))
-
-    def __str__(self) -> str:
-        return "".join(self.tokens)
-
-    def __len__(self) -> int:
-        return len(self.tokens)
+        return cls(s)
 
 
-KERNEL_STANDARD = KernelSpec(("X", "Y"))
+KERNEL_STANDARD = KernelSpec("XY")
 
 
 def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
@@ -69,9 +58,9 @@ def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
     pinned entries), so a check on the result alone would miss it.
     """
     if first is None:
-        out, tokens = as_point(z), spec.tokens
+        out, tokens = as_point(z), spec
     else:
-        out, tokens = as_point(first), spec.tokens[1:]
+        out, tokens = as_point(first), spec[1:]
     for tok in tokens:
         out = project(pair.X if tok == "X" else pair.Y, out)
     return out

@@ -25,7 +25,7 @@ from .geometry import (
     PsdCone,
     SetDescriptor,
 )
-from .operators import KERNEL_STANDARD, KernelSpec
+from .operators import KernelSpec
 from .sampling import make_rng
 from .solver import METHODS, Constant, Table, Vanishing
 
@@ -416,15 +416,15 @@ def _generator_doc(doc) -> dict:
 
 schedule_from_json.schema = variants_schema(SCHEDULES, "kind", "constant")
 _generator_doc.schema = variants_schema(GENERATORS, "family")
-# SolverConfig rejects an unknown method and KernelSpec a bad kernel token; each
-# reader is a new function, so read_str keeps its own schema
+# SolverConfig rejects an unknown method, fills in crm's kernel and schedule and
+# rejects map's; each reader is a new function, so read_str keeps its own schema
 _method_kind = reader({"enum": list(METHODS)}, lambda text: read_str(text))
-_kernel = reader(read_str.schema, lambda text: KernelSpec.from_string(read_str(text)))
+_kernel = reader(read_str.schema, lambda text: KernelSpec(read_str(text)))
 _METHOD_FIELDS = (
     ("name", read_str),
     ("method", _method_kind, "crm"),
-    ("kernel", _kernel, KERNEL_STANDARD),
-    ("schedule", schedule_from_json, Constant(0.5)),
+    ("kernel", _kernel, None),
+    ("schedule", schedule_from_json, None),
 )
 _method = reader(
     fields_schema(_METHOD_FIELDS), lambda doc: read_fields(doc, "method", _METHOD_FIELDS)

@@ -4,11 +4,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
-from .circumcentering import DegenerateCircumcenter
 from .errors import (
     EigenFailure,
     InsufficientTrace,
@@ -44,10 +43,16 @@ class Constant:
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSchedule(f"constant alpha must lie in (0,1), got {self.alpha}")
 
+    def __call__(self, k: int) -> float:
+        return self.alpha
+
 
 @dataclass(frozen=True)
 class Vanishing:
     """alpha_k = 1 / (k + 2): 1/2, 1/3, 1/4, ..."""
+
+    def __call__(self, k: int) -> float:
+        return 1.0 / (k + 2)
 
 
 @dataclass(frozen=True)
@@ -63,30 +68,19 @@ class Table:
             if not 0.0 < v < 1.0:
                 raise InvalidSchedule(f"table value {v} outside (0,1)")
 
-
-StepSchedule = Union[Constant, Vanishing, Table]
-
-
-def schedule_value(schedule: StepSchedule, k: int) -> float:
-    if k < 0:
-        raise ValueError("iteration index must be nonnegative")
-    if isinstance(schedule, Constant):
-        return schedule.alpha
-    if isinstance(schedule, Vanishing):
-        return 1.0 / (k + 2)
-    if isinstance(schedule, Table):
-        return schedule.values[min(k, len(schedule.values) - 1)]
-    raise InvalidSchedule(f"unknown schedule {schedule!r}")
+    def __call__(self, k: int) -> float:
+        return self.values[min(k, len(self.values) - 1)]
 
 
 @dataclass
 class SolverConfig:
-    """What to run; the defaults are classical cCRM: kernel P_Y P_X with
-    constant alpha = 1/2."""
+    """What to run, checked and defaulted here alone.  For crm, a kernel is
+    read by KernelSpec and defaults to P_Y P_X, and the schedule defaults to
+    constant alpha = 1/2: classical cCRM.  map takes neither."""
 
     method: str = "crm"  # one of METHODS
-    kernel: KernelSpec = KERNEL_STANDARD
-    schedule: StepSchedule = Constant(0.5)
+    kernel: Optional[KernelSpec] = None
+    schedule: Constant | Vanishing | Table | None = None
     eps: float = 1e-10
     max_iter: int = 100_000
     record_iterates: bool = False
@@ -98,6 +92,14 @@ class SolverConfig:
             raise InvalidSpec("max_iter must be >= 1")
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}")
+        if self.method == "map":
+            if self.kernel is not None or self.schedule is not None:
+                raise InvalidSpec("method map takes no kernel or schedule")
+            return
+        self.kernel = KERNEL_STANDARD if self.kernel is None else KernelSpec(self.kernel)
+        self.schedule = Constant(0.5) if self.schedule is None else self.schedule
+        if not isinstance(self.schedule, (Constant, Vanishing, Table)):
+            raise InvalidSchedule(f"not a step schedule: {self.schedule!r}")
 
 
 @dataclass(slots=True)
@@ -145,7 +147,7 @@ class SolveTrace:
 
 
 # a projection or step that cannot be completed ends the run as numerical_failure
-_FAILURES = (NonconvergedProjection, EigenFailure, DegenerateCircumcenter)
+_FAILURES = (NonconvergedProjection, EigenFailure)
 
 
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
@@ -209,12 +211,12 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     status = STATUS_MAX_ITER
     failure = None
     crm = cfg.method == "crm"
-    lead_x = cfg.kernel.tokens[0] == "X"
+    lead_x = crm and cfg.kernel[0] == "X"
     ip = alpha = math.nan
     for k in range(cfg.max_iter):
         try:
             if crm:
-                alpha = schedule_value(cfg.schedule, k)
+                alpha = cfg.schedule(k)
                 z, ip = circumcentered_step(pair, z, alpha, cfg.kernel, px if lead_x else py)
                 cum_alg += len(cfg.kernel) + 2
                 delta, px, py = stopping_gap(pair, z)

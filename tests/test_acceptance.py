@@ -358,7 +358,7 @@ def test_criterion_7_matrix_completion_trend():
     t0 = time.time()
     rtol = 1e-10
     alphas = (0.25, 0.5, 0.75)
-    kernels = (("XY", KERNEL_STANDARD), ("XYXY", KernelSpec(("X", "Y", "X", "Y"))))
+    kernels = (("XY", KERNEL_STANDARD), ("XYXY", KernelSpec("XYXY")))
     pairs = [gen_matrix_completion(30, 3, 0.4, seed) for seed in range(10)]
     means = {}
     half_runs = {}

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 import cfeas.bench
-from cfeas.bench import ExperimentConfig, emit_convergence_plotdata, run_matrix
-from cfeas.errors import EmptyInput, InvalidSpec
+from cfeas.bench import ExperimentConfig, run_matrix
+from cfeas.errors import InvalidSpec
 from cfeas.oracles import oracle_check
 from cfeas.problems import CONFIG_SCHEMA, generate, schedule_from_json
 from cfeas.solver import Constant, Table, Vanishing
@@ -145,9 +145,15 @@ def test_plotdata_rows_are_the_traces_in_method_then_seed_order(tmp_path):
     assert rows == want
 
 
-def test_plotdata_empty_rejected(tmp_path):
-    with pytest.raises(EmptyInput):
-        emit_convergence_plotdata({}, str(tmp_path / "p.csv"))
+def test_plotdata_is_header_only_when_every_cell_fails(tmp_path, monkeypatch):
+    def failing(family, seed, **params):
+        raise InvalidSpec("generator failed")
+
+    monkeypatch.setattr(cfeas.bench, "generate", failing)
+    out = tmp_path / "run"
+    run_matrix(ExperimentConfig.from_json(_config_doc(str(out), seeds=(0, 1))))
+    assert not list(out.glob("trace_*.csv"))
+    assert (out / "plotdata.csv").read_bytes() == b"method,k,delta\r\n"
 
 
 def test_run_matrix_collects_failures(tmp_path, monkeypatch):

@@ -34,7 +34,10 @@ def test_all_points_coincident():
 def test_one_pair_coincident_gives_midpoint():
     z = np.array([0.0, 0.0])
     v = np.array([2.0, 0.0])
-    assert np.allclose(circumcenter(z, v, z.copy()), [1.0, 0.0])
+    w = np.array([0.0, 4.0])
+    assert np.allclose(circumcenter(z, v, z.copy()), [1.0, 0.0])  # w = z
+    assert np.array_equal(circumcenter(z, v, v.copy()), [1.0, 0.0])  # v = w
+    assert np.array_equal(circumcenter(z, z.copy(), w), [0.0, 2.0])  # v = z
 
 
 def test_collinear_distinct_points_degenerate():

@@ -376,6 +376,11 @@ _NEGATIVE_SEED = {
     "methods": [{"name": "m"}],
     "seeds": [-1],
 }
+_MAP_WITH_KERNEL = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "crm"}, {"name": "m", "method": "map", "kernel": "YXY"}],
+    "seeds": [0],
+}
 
 
 @pytest.mark.parametrize(
@@ -391,6 +396,7 @@ _NEGATIVE_SEED = {
         (json.dumps(_SAME_SEED_TWICE), ["seed 0", "twice"]),
         (json.dumps(_MISSPELLED_FIELDS), ["bench config", "unknown field", "'max_iters'"]),
         (json.dumps(_NEGATIVE_SEED), ["'seeds'", "[0, 2**128)", "-1"]),
+        (json.dumps(_MAP_WITH_KERNEL), ["map takes no kernel"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -403,6 +409,7 @@ _NEGATIVE_SEED = {
         "same_seed_twice",
         "misspelled_fields",
         "negative_seed",
+        "map_with_kernel",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
@@ -448,6 +455,15 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         (["gen", *_WEDGE, "--seed", "-1", "--out", "i.json"], ["seed", "[0, 2**128)", "-1"]),
         (["oracle-check", "circumcenter", "--seed-range=-3000..-2999"],
          ["--seed-range", "[0, 2**128)", "-3000"]),
+        (["gen", "--family", "ellipsoids", "--n", "10", "--cond", "5", "--theta", "1.0",
+          "--rank", "3", "--out", "x.json"], ["ellipsoids generator", "unknown field 'rank'"]),
+        (["solve", "--instance", "i.json", "--family", "matrix_completion", "--n", "9",
+          "--rank", "2", "--obs-frac", "0.5"], ["--instance", "--family", "--obs-frac"]),
+        (["solve", "--instance", "i.json", "--theta", "1.0"], ["--instance", "--theta"]),
+        (["solve", "--instance", "i.json", "--seed", "3"], ["--instance", "--seed"]),
+        (_SOLVE + ["--method", "map", "--kernel", "YXY"], ["map takes no kernel"]),
+        (_SOLVE + ["--method", "map", "--schedule", "vanishing"],
+         ["map takes no kernel or schedule"]),
     ],
     ids=[
         "empty_table",
@@ -472,6 +488,12 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         "value_for_vanishing",
         "negative_gen_seed",
         "negative_oracle_seeds",
+        "gen_flags_of_another_family",
+        "instance_with_family",
+        "instance_with_parameter",
+        "instance_with_seed",
+        "map_with_kernel",
+        "map_with_schedule",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):

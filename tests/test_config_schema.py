@@ -104,6 +104,8 @@ LOADER_ONLY = {
     "table_value_outside_0_1": _method(schedule={"kind": "table", "values": [0.5, 1.0]}),
     "kernel_token": _method(kernel="XZ"),
     "kernel_not_ending_in_y": _method(kernel="YX"),
+    "kernel_for_map": _method(method="map", kernel="XY"),
+    "schedule_for_map": _method(method="map", schedule={"kind": "vanishing"}),
     "method_name_given_twice": _with(methods=[{"name": "m"}, {"name": "m", "method": "map"}]),
     "method_name_not_one_file_name_component": _method(name="a/b"),
     "seed_given_twice": _with(seeds=[0, 0, 1]),

@@ -5,7 +5,7 @@ import zlib
 import numpy as np
 import pytest
 
-from cfeas.errors import DimensionMismatch
+from cfeas.errors import DimensionMismatch, EigenFailure
 from cfeas.geometry import (
     MEMBERSHIP_RTOL,
     Ball,
@@ -148,6 +148,20 @@ def test_psd_projection_is_psd_and_fixes_psd_input():
     assert w.min() >= -1e-12
 
 
+def test_project_flattens_a_matrix_point():
+    m = make_rng(4).standard_normal((3, 3))
+    assert np.array_equal(project(PsdCone(3), m), project(PsdCone(3), m.reshape(-1)))
+
+
+def test_psd_projection_wraps_eigh_failure(monkeypatch):
+    def fail(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(EigenFailure, match="did not converge"):
+        project_psd(np.eye(2).reshape(-1), 2)
+
+
 def test_psd_cone_descriptor_roundtrip():
     cone = PsdCone(4)
     rng = make_rng(5)
@@ -197,6 +211,8 @@ def test_dimension_mismatch_raised():
         gap(pair, np.zeros(4))
     with pytest.raises(DimensionMismatch):
         project_ellipsoid_multiplier(pair.Y, np.zeros(2))
+    with pytest.raises(DimensionMismatch):
+        project_psd(np.zeros(5), 2)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")

@@ -1,6 +1,7 @@
 """The package, its command line and its bench load without scipy,
-jsonschema or concurrent.futures, the bench without the oracles, and no
-module of the package or of the tests imports a name it never uses.
+jsonschema or concurrent.futures, the bench without the oracles, no module
+of the package or of the tests imports a name it never uses, and the
+package's modules take its error classes from `cfeas.errors` alone.
 
 scipy serves one test oracle only; importing it with the package would cost
 more than the rest of the import together.  jsonschema only checks, in the
@@ -70,3 +71,27 @@ def test_no_unused_imports_in_the_package():
 
 def test_no_unused_imports_in_the_tests():
     assert _unused_in(TESTS) == {}
+
+
+def _error_classes():
+    with open(os.path.join(SRC, "cfeas", "errors.py")) as fh:
+        tree = ast.parse(fh.read())
+    return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+
+
+def test_the_package_imports_error_classes_from_errors_only():
+    errors = _error_classes()
+    elsewhere = []
+    for name in sorted(os.listdir(os.path.join(SRC, "cfeas"))):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, "cfeas", name)) as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module not in ("errors", "cfeas.errors"):
+                elsewhere += [
+                    f"{name}: {alias.name} from {node.module}"
+                    for alias in node.names
+                    if alias.name in errors
+                ]
+    assert errors and elsewhere == []

@@ -31,20 +31,20 @@ def _ball_pair(rng, dim=4, sep=1.2):
 
 
 def test_kernel_spec_parsing_and_str():
-    assert KernelSpec.from_string("xy").tokens == ("X", "Y")
+    assert KernelSpec.from_string("xy") == "XY" == KERNEL_STANDARD
     assert str(KernelSpec.from_string("YXY")) == "YXY"
     assert len(KernelSpec.from_string("Y")) == 1 and len(KERNEL_STANDARD) == 2
 
 
 def test_kernel_spec_rejects_bad_token_sequences():
-    with pytest.raises(InvalidKernel):
-        KernelSpec(("X",))  # outermost must be Y
-    with pytest.raises(InvalidKernel):
-        KernelSpec(())
-    with pytest.raises(InvalidKernel):
-        KernelSpec(("Y", "Y"))
-    with pytest.raises(InvalidKernel):
-        KernelSpec(("Z", "Y"))
+    with pytest.raises(InvalidKernel, match="outermost"):
+        KernelSpec("X")
+    with pytest.raises(InvalidKernel, match="at least one token"):
+        KernelSpec("")
+    with pytest.raises(InvalidKernel, match="adjacent"):
+        KernelSpec("YY")
+    with pytest.raises(InvalidKernel, match="kernel token 'Z'"):
+        KernelSpec("ZY")
 
 
 def test_kernel_image_lies_in_y():

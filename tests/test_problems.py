@@ -263,6 +263,11 @@ def test_wedge_invalid_theta():
         gen_halfspace_wedge(5, 2.0, seed=0)
 
 
+def test_wedge_needs_dimension_two():
+    with pytest.raises(InvalidSpec, match="dimension >= 2"):
+        gen_halfspace_wedge(1, 0.5, seed=0)
+
+
 def test_generators_deterministic():
     a = gen_ellipsoids(20, 20.0, 1e-3, seed=9)
     b = gen_ellipsoids(20, 20.0, 1e-3, seed=9)

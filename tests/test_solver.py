@@ -8,7 +8,7 @@ import pytest
 
 import cfeas.geometry
 from cfeas.bench import write_trace_csv
-from cfeas.errors import InsufficientTrace, InvalidSchedule
+from cfeas.errors import InsufficientTrace, InvalidKernel, InvalidSchedule, InvalidSpec
 from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
 from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, generate
@@ -18,26 +18,26 @@ from cfeas.solver import (
     CLASS_SUPERLINEAR,
     STATUS_CONVERGED,
     STATUS_MAX_ITER,
+    STATUS_NUMERICAL_FAILURE,
     Constant,
     IterationRecord,
     SolverConfig,
     Table,
     Vanishing,
     estimate_rate_from_merits,
-    schedule_value,
     solve,
 )
 
 
 def test_schedule_values():
-    assert schedule_value(Constant(0.25), 17) == 0.25
-    assert schedule_value(Vanishing(), 0) == 0.5
-    assert schedule_value(Vanishing(), 1) == pytest.approx(1.0 / 3.0)
-    assert schedule_value(Vanishing(), 8) == pytest.approx(0.1)
+    assert Constant(0.25)(17) == 0.25
+    assert Vanishing()(0) == 0.5
+    assert Vanishing()(1) == pytest.approx(1.0 / 3.0)
+    assert Vanishing()(8) == pytest.approx(0.1)
     t = Table((0.3, 0.6))
-    assert schedule_value(t, 0) == 0.3
+    assert t(0) == 0.3
     # table values clamp to the last entry
-    assert schedule_value(t, 5) == 0.6
+    assert t(5) == 0.6
 
 
 def test_schedule_validation():
@@ -63,9 +63,48 @@ def test_config_validation():
 def test_ccrm_config_defaults():
     cfg = SolverConfig()
     assert cfg.method == "crm"
-    assert str(cfg.kernel) == "XY"
+    assert cfg.kernel == "XY"
     assert cfg.schedule == Constant(0.5)
     assert (cfg.eps, cfg.max_iter, cfg.record_iterates) == (1e-10, 100_000, False)
+    assert (SolverConfig(method="map").kernel, SolverConfig(method="map").schedule) == (None, None)
+
+
+def test_config_reads_a_kernel_word_and_checks_kernel_and_schedule_at_construction():
+    cfg = SolverConfig(kernel="yxy")
+    assert isinstance(cfg.kernel, KernelSpec) and cfg.kernel == "YXY"
+    pair = gen_halfspace_wedge(4, 0.5, seed=0)
+    given = solve(pair, SolverConfig(kernel="XY", eps=1e-10))
+    assert given.status == STATUS_CONVERGED
+    assert np.array_equal(given.deltas, solve(pair, SolverConfig(eps=1e-10)).deltas)
+    with pytest.raises(InvalidKernel, match="kernel token 'Z'"):
+        SolverConfig(kernel="XZ")
+    with pytest.raises(InvalidSchedule):
+        SolverConfig(schedule=0.5)
+
+
+@pytest.mark.parametrize("given", [{"kernel": "XY"}, {"schedule": Constant(0.5)}])
+def test_map_takes_no_kernel_or_schedule(given):
+    with pytest.raises(InvalidSpec, match="map takes no kernel or schedule"):
+        SolverConfig(method="map", **given)
+
+
+def test_eigh_failure_ends_a_matrix_completion_solve_at_its_iteration(monkeypatch):
+    """The gap at z0 makes eigh call 1; each XY step makes two more, P_X t
+    and the gap's P_X z.  Call 4, P_X t of iteration 1, fails."""
+    pair = generate("matrix_completion", 2, n=12, rank=2, obs_frac=0.5)
+    eigh, calls = np.linalg.eigh, []
+
+    def failing_fourth(m):
+        calls.append(1)
+        if len(calls) == 4:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_fourth)
+    trace = solve(pair, SolverConfig(eps=1e-300, max_iter=10))
+    assert trace.status == STATUS_NUMERICAL_FAILURE
+    assert trace.failure == "iteration 1: Eigenvalues did not converge"
+    assert [r.k for r in trace.records] == [0, 1]
 
 
 def test_solve_orthogonal_halfspaces_single_iteration():
@@ -246,7 +285,7 @@ def _reference_solve(pair, cfg):
             alg += 2
             columns.append((math.nan, math.nan))
         else:
-            alpha = schedule_value(cfg.schedule, k)
+            alpha = cfg.schedule(k)
             z, ip = circumcentered_step(pair, z, alpha, cfg.kernel)
             alg += len(cfg.kernel) + 2
             columns.append((ip, alpha))
