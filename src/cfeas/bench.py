@@ -57,10 +57,17 @@ class ExperimentConfig:
         """Build a config, checked once here: a malformed document, an unknown
         family or method, a missing or mistyped field, a bad kernel or
         schedule, or either given to map raise InvalidSpec instead of failing
-        every cell later."""
+        every cell later.  An error in one method names that method."""
         values = read_fields(doc, "bench config", CONFIG_FIELDS)
-        generator, methods, seeds, eps, max_iter, output_dir = values
-        methods = [MethodSpec(name, SolverConfig(*rest, eps, max_iter)) for name, *rest in methods]
+        generator, rows, seeds, eps, max_iter, output_dir = values
+        methods = []
+        for name, *rest in rows:
+            try:
+                methods.append(MethodSpec(name, SolverConfig(*rest, eps, max_iter)))
+            except InvalidSpec as exc:
+                # an eps or max_iter error belongs to no one method: raise it plain
+                SolverConfig(eps=eps, max_iter=max_iter)
+                raise InvalidSpec(f"bench config method {name!r}: {exc}") from None
         return cls(generator, methods, seeds, eps, max_iter, output_dir)
 
 

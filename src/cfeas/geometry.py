@@ -130,6 +130,10 @@ class Ellipsoid:
         object.__setattr__(self, "d_min", float(np.min(self.diag)))
         object.__setattr__(self, "d_max", float(np.max(self.diag)))
         object.__setattr__(self, "mu", 1.0 / self.diag)
+        # rows d (d / d_max)^k, k = 0..3: each row's dot with u^2 is a moment
+        # of the projection's start, and no entry exceeds d, so none overflows
+        powers = self.diag * (self.diag / self.d_max) ** np.arange(4.0)[:, None]
+        object.__setattr__(self, "powers", powers)
 
     @property
     def dim(self) -> int:
@@ -224,33 +228,41 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
     a step from the left of the root stays left and climbs monotonically,
     and a step from the right returns to the left in one step.
 
-    Start.  With a = d u, s = a.u and the moments m1 = a.a, m2 = (d a).a,
-    m3 = (d a).(d a), the derivatives of g at lam = 0 are closed form:
-    g0 = s^(-1/2) - 1, g1 = s^(-3/2) m1, g2 = 3 s^(-5/2) m1^2 - 3 s^(-3/2) m2
-    (<= 0, since m1^2 <= s m2 by Cauchy-Schwarz) and g3 = 15 s^(-7/2) m1^3
-    - 27 s^(-5/2) m1 m2 + 12 s^(-3/2) m3.  The start is the Householder
-    step of order 3 from 0, lam = 3 g0 (2 g1^2 - g0 g2) / (-6 g1^3 + 6 g0 g1
-    g2 - g0^2 g3), written here relative to the Newton iterate h = -g0 / g1
-    = (s^(3/2) - s) / m1 as h (1 + h g2 / (2 g1)) / (1 + h g2 / g1 + h^2 g3
-    / (6 g1)), which needs no cube.  On a ball it is the root, and near one
-    it usually lands within the residual tolerance, so most projections
-    end at their first evaluation of S.  If the start is not finite or not
-    in [lo, hi), Newton starts at h, which lies in [lo, root]: m1 <= d_max
-    s gives h >= lo, and concavity gives h <= root.  If rounding puts h
-    outside [lo, hi) too, it starts at lo.  Rounding that breaks
-    monotonicity later is caught by the bisection safeguard inside the
-    bracket.
+    Start.  The moments s = sum d u^2 and m_k = sum d^(k+1) u^2, k = 1..3,
+    come from one product of the cached powers d (d / d_max)^k with u^2, as
+    s and r_k = m_k / d_max^k.  The derivatives of g at lam = 0 are closed
+    form in them: g0 = s^(-1/2) - 1, g1 = s^(-3/2) m1, g2 = 3 s^(-5/2) m1^2
+    - 3 s^(-3/2) m2 (<= 0, since m1^2 <= s m2 by Cauchy-Schwarz) and g3 = 15
+    s^(-7/2) m1^3 - 27 s^(-5/2) m1 m2 + 12 s^(-3/2) m3.  The start is the
+    Householder step of order 3 from 0, lam = 3 g0 (2 g1^2 - g0 g2) / (-6
+    g1^3 + 6 g0 g1 g2 - g0^2 g3), written here relative to the Newton
+    iterate h = -g0 / g1 = (s^(3/2) - s) / m1 as h (1 + h g2 / (2 g1)) / (1
+    + h g2 / g1 + h^2 g3 / (6 g1)), which needs no cube.  The products h g2
+    / g1 and h^2 g3 / g1 are free of scale, so they are formed from h d_max
+    and the r_k, which stay finite where the m_k would overflow.  On a ball
+    the start is the root, and near one it usually lands within the residual
+    tolerance, so most projections end at their first evaluation of S.  If
+    the start is not finite or not in [lo, hi), Newton starts at h, which
+    lies in [lo, root]: m1 <= d_max s gives h >= lo, and concavity gives h
+    <= root.  If rounding puts h outside [lo, hi) too, or r1 / s underflows
+    to 0 (as when d_i^2 / d_max does wherever u_i != 0), it starts at lo.
+    Rounding that breaks monotonicity later is caught by the bisection
+    safeguard inside the bracket.
 
-    Evaluation.  With q = mu + lam, y = (mu u) / q is u w, the offset of the
-    result from the center, and dy = u / q is d u w, so S = dy.y and T =
+    Evaluation.  With q = mu + lam, dy = u / q is d u w, and y = mu dy is
+    u w, the offset of the result from the center, so S = dy.y and T =
     dy.(y / q).
+
+    Domain.  u^2 must be finite: an entry of u above about 1.3e154 (the
+    square root of the largest float) makes s infinite, and the projection
+    raises NonconvergedProjection.  The solver's gap norms overflow at
+    offsets of that size as well.
     """
     z = as_point(z)
     if z.shape[0] != e.dim:
         raise DimensionMismatch(f"point dim {z.shape[0]} != set dim {e.dim}")
     u = z - e.center
-    a = e.diag * u
-    s = float(a.dot(u))
+    s, r1, r2, r3 = e.powers.dot(u * u).tolist()
     if s <= 1.0:
         return z.copy(), 0.0
     if not math.isfinite(s):
@@ -259,22 +271,22 @@ def project_ellipsoid_multiplier(e: Ellipsoid, z) -> tuple[np.ndarray, float]:
 
     sqrt_s = math.sqrt(s)
     lo, hi = (sqrt_s - 1.0) / e.d_max, (sqrt_s - 1.0) / e.d_min
-    da = e.diag * a
-    m1, m2, m3 = float(a.dot(a)), float(da.dot(a)), float(da.dot(da))
-    h = (s * sqrt_s - s) / m1
-    v = m1 / s
-    c2 = 3.0 * (v - m2 / m1)  # g2 / g1
-    c3 = 15.0 * v * v - 27.0 * m2 / s + 12.0 * m3 / m1  # g3 / g1
-    den = 1.0 + h * (c2 + h * c3 / 6.0)
-    lam = h * (1.0 + 0.5 * h * c2) / den if den else math.nan
+    lam = h = lo
+    v = r1 / s  # m1 / (s d_max), in (0, 1] unless it underflows
+    if v > 0.0:
+        hd = (sqrt_s - 1.0) / v  # h d_max
+        c2 = 3.0 * (v - r2 / r1)  # g2 / (g1 d_max)
+        c3 = 15.0 * v * v - 27.0 * r2 / s + 12.0 * r3 / r1  # g3 / (g1 d_max^2)
+        den = 1.0 + hd * (c2 + hd * c3 / 6.0)
+        h = hd / e.d_max
+        lam = h * (1.0 + 0.5 * hd * c2) / den if den else math.nan
     if not lo <= lam < hi:
         lam = h if lo <= h < hi else lo
     mu = e.mu
-    mu_u = mu * u
     for _ in range(_ELLIPSOID_MAX_ITER):
         q = mu + lam
-        y = mu_u / q
         dy = u / q
+        y = mu * dy
         S = float(dy.dot(y))
         if abs(S - 1.0) <= _ELLIPSOID_RESIDUAL_TOL:
             break

@@ -426,9 +426,15 @@ _METHOD_FIELDS = (
     ("kernel", _kernel, None),
     ("schedule", schedule_from_json, None),
 )
-_method = reader(
-    fields_schema(_METHOD_FIELDS), lambda doc: read_fields(doc, "method", _METHOD_FIELDS)
-)
+
+
+def _read_method(doc):
+    # errors name the method by its name field, when it has one
+    name = doc.get("name") if isinstance(doc, dict) else None
+    return read_fields(doc, "method" if name is None else f"method {name!r}", _METHOD_FIELDS)
+
+
+_method = reader(fields_schema(_METHOD_FIELDS), _read_method)
 
 # bench config fields; each method reads as (name, method, kernel, schedule)
 CONFIG_FIELDS = (

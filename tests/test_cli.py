@@ -381,6 +381,25 @@ _MAP_WITH_KERNEL = {
     "methods": [{"name": "crm"}, {"name": "m", "method": "map", "kernel": "YXY"}],
     "seeds": [0],
 }
+_MAP_WITH_SCHEDULE = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [
+        {"name": "map_a", "method": "map"},
+        {"name": "map_b", "method": "map", "schedule": {"kind": "vanishing"}},
+    ],
+    "seeds": [0],
+}
+_BAD_KERNEL_IN_SECOND_METHOD = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "a"}, {"name": "b", "kernel": "XZ"}],
+    "seeds": [0],
+}
+_ZERO_EPS = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m"}],
+    "seeds": [0],
+    "eps": 0,
+}
 
 
 @pytest.mark.parametrize(
@@ -396,7 +415,10 @@ _MAP_WITH_KERNEL = {
         (json.dumps(_SAME_SEED_TWICE), ["seed 0", "twice"]),
         (json.dumps(_MISSPELLED_FIELDS), ["bench config", "unknown field", "'max_iters'"]),
         (json.dumps(_NEGATIVE_SEED), ["'seeds'", "[0, 2**128)", "-1"]),
-        (json.dumps(_MAP_WITH_KERNEL), ["map takes no kernel"]),
+        (json.dumps(_MAP_WITH_KERNEL), ["method 'm'", "map takes no kernel"]),
+        (json.dumps(_MAP_WITH_SCHEDULE), ["method 'map_b'", "map takes no kernel or schedule"]),
+        (json.dumps(_BAD_KERNEL_IN_SECOND_METHOD), ["method 'b'", "kernel token", "'Z'"]),
+        (json.dumps(_ZERO_EPS), ["usage error: eps must be positive"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -410,6 +432,9 @@ _MAP_WITH_KERNEL = {
         "misspelled_fields",
         "negative_seed",
         "map_with_kernel",
+        "map_with_schedule",
+        "bad_kernel_in_second_method",
+        "zero_eps",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):

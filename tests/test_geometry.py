@@ -1,11 +1,12 @@
 """Projection, distance, and membership behavior for every set variant."""
 import dataclasses
+import warnings
 import zlib
 
 import numpy as np
 import pytest
 
-from cfeas.errors import DimensionMismatch, EigenFailure
+from cfeas.errors import DimensionMismatch, EigenFailure, NonconvergedProjection
 from cfeas.geometry import (
     MEMBERSHIP_RTOL,
     Ball,
@@ -116,6 +117,42 @@ def test_ellipsoid_boundary_point_when_outside():
     z = np.array([5.0, 5.0, 5.0])
     p = project(e, z)
     assert _form(e, p) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "diag,u",
+    [
+        ([1e80, 1e160, 1e80], [3e-40, 0.0, 1e-40]),
+        ([1e80, 1e160], [1e-40, 2e-80]),
+        ([1e-100, 1e-220], [0.0, 1e115]),
+    ],
+    ids=["zero_on_the_largest_axis", "both_axes", "squared_ratio_underflows"],
+)
+def test_ellipsoid_extreme_axis_scales_project_without_warnings(diag, u):
+    """The cached axis-scale powers stay finite, and so does every moment of
+    the start: axis scales of 1e160 overflow no power, and a zero offset
+    meets no infinite one.  At 1e-220 beside 1e-100 the first moment's row
+    underflows to 0, and the kernel starts from the lower bracket end."""
+    u = np.array(u)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = Ellipsoid(np.zeros(len(diag)), np.array(diag))
+        p, lam = project_ellipsoid_multiplier(e, u)
+    hi = (np.sqrt(_form(e, u)) - 1.0) / min(diag)
+    q, _ = ellipsoid_bisection(e, u, lam_max=2.0 * hi)
+    assert lam > 0.0
+    assert np.linalg.norm(p - q) <= 1e-8 * np.linalg.norm(q)
+    assert _form(e, p) == pytest.approx(1.0, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ellipsoid_offset_whose_square_overflows_raises():
+    """The kernel needs u * u finite: an offset of 1e160 raises rather than
+    returning a wrong point, though its quadratic form 1e220 is finite."""
+    e = Ellipsoid(np.zeros(2), np.array([1e-100, 1.0]))
+    with pytest.raises(NonconvergedProjection):
+        project_ellipsoid_multiplier(e, np.array([1e160, 0.0]))
 
 
 def test_ellipsoid_multiplier_zero_inside():

@@ -46,3 +46,25 @@ def test_step_reaches_the_patched_circumcenter(monkeypatch):
     trace = solve(gen_matrix_completion(12, 2, 0.5, seed=0), SolverConfig(eps=1e-6))
     assert trace.iterations > 0
     assert len(calls) == trace.iterations
+
+
+def test_every_ellipsoid_projection_reaches_the_patched_kernel(monkeypatch):
+    # the tracer's geometry.ellipsoid layer counts calls through this name;
+    # on two ellipsoids MAP evaluates cum_proj_alg + cum_proj_diag - k
+    # projections, and every one of them is an ellipsoid projection
+    import cfeas.geometry
+    from cfeas.problems import gen_ellipsoids
+    from cfeas.solver import SolverConfig, solve
+
+    calls = []
+    inner = cfeas.geometry.project_ellipsoid_multiplier
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(cfeas.geometry, "project_ellipsoid_multiplier", counted)
+    trace = solve(gen_ellipsoids(30, 10), SolverConfig(method="map"))
+    last = trace.records[-1]
+    assert trace.iterations > 0
+    assert len(calls) == last.cum_proj_alg + last.cum_proj_diag - last.k

@@ -2,12 +2,13 @@
 projects.
 
 `geometry.project_ellipsoid_multiplier` starts its Newton solve from the
-Householder step of order 3 at lam = 0, which costs three dots and pays off
-only if it usually lands within the residual tolerance, so that the solve
-ends at its first evaluation of S.  This test collects the points that MAP
-projects on the ellipsoid bench family and recomputes that start from its
-defining derivatives with direct sums, independently of the kernel's
-arithmetic.  Newton's first iterate from lam = 0 (the start before the
+Householder step of order 3 at lam = 0.  Its three moments are three more
+rows of the product that computes s, plus a few scalar operations; they pay
+off only if the start usually lands within the residual tolerance, so that
+the solve ends at its first evaluation of S.  This test collects the points
+that MAP projects on the ellipsoid bench family and recomputes that start
+from its defining derivatives with direct sums, independently of the
+kernel's arithmetic.  Newton's first iterate from lam = 0 (the start before the
 order-3 step) meets the same check on none of these points.
 """
 import numpy as np
