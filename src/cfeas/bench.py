@@ -3,6 +3,7 @@ writes."""
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, fields
@@ -17,7 +18,8 @@ from .solver import STATUS_NUMERICAL_FAILURE, Constant, IterationRecord, SolveTr
 
 # a trace file's columns are IterationRecord's fields, in order
 _TRACE_COLUMNS = [f.name for f in fields(IterationRecord)]
-_trace_row = attrgetter(*_TRACE_COLUMNS)
+_trace_head = attrgetter("k", "delta")
+_trace_tail = attrgetter(*_TRACE_COLUMNS[2:])
 
 
 def _schedule_label(schedule):
@@ -118,8 +120,7 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     results.sort(key=lambda r: (r.method, r.seed))
 
     traces = {f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None}
-    for name, trace in traces.items():
-        write_trace_csv(trace, os.path.join(out, f"trace_{name}.csv"))
+    heads = {n: write_trace_csv(t, os.path.join(out, f"trace_{n}.csv")) for n, t in traces.items()}
 
     summary_rows = []
     for m in config.methods:
@@ -145,7 +146,7 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
         )
 
     write_summary_csv(summary_rows, os.path.join(out, "summary.csv"))
-    emit_convergence_plotdata(traces, os.path.join(out, "plotdata.csv"))
+    emit_convergence_plotdata(traces, heads, os.path.join(out, "plotdata.csv"))
 
     failures = [
         {"method": r.method, "seed": r.seed, "error": r.error or r.trace.failure}
@@ -176,13 +177,18 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     return summary_rows, report
 
 
-def write_trace_csv(trace: SolveTrace, path) -> None:
-    """One row per iteration and one column per IterationRecord field.  csv
-    writes floats in shortest round-trip form (NaN as nan) and None as ""."""
+def write_trace_csv(trace: SolveTrace, path) -> List[str]:
+    """One row per IterationRecord, one column per field, each value formatted
+    once as csv would: floats by repr (NaN as nan), ints by str, and dist_sref
+    as "" when the pair has no s_ref.  Returns each row's "k,delta" text."""
+    records = trace.records
+    heads = list(map("%d,%r".__mod__, map(_trace_head, records)))
+    sref = "%.0s" if records and records[0].dist_sref is None else "%r"  # "%.0s": None as ""
+    tail = f"%s,{sref},%r,%r,%d,%d,%d\r\n"
+    rows = [tail % (h, *_trace_tail(r)) for h, r in zip(heads, records)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLUMNS)
-        writer.writerows(map(_trace_row, trace.records))
+        fh.write(",".join(_TRACE_COLUMNS) + "\r\n" + "".join(rows))
+    return heads
 
 
 def write_summary_csv(rows, path) -> None:
@@ -192,11 +198,14 @@ def write_summary_csv(rows, path) -> None:
         writer.writerows(rows)
 
 
-def emit_convergence_plotdata(traces: dict, path) -> None:
-    """Long-format CSV method,k,delta from {name: SolveTrace}; strictly
-    positive gaps only.  With no traces it holds the header alone."""
+def emit_convergence_plotdata(traces: dict, heads: dict, path) -> None:
+    """Long-format CSV method,k,delta from {name: SolveTrace} and the traces'
+    "k,delta" texts; strictly positive gaps only, or the header alone."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "k", "delta"])
+        fh.write("method,k,delta\r\n")
         for name, trace in traces.items():
-            writer.writerows((name, r.k, r.delta) for r in trace.records if r.delta > 0.0)
+            field = io.StringIO()  # csv quotes a name where it must
+            csv.writer(field, lineterminator=",").writerow([name])
+            prefix = field.getvalue()
+            if rows := [h for h, r in zip(heads[name], trace.records) if r.delta > 0.0]:
+                fh.write(prefix + ("\r\n" + prefix).join(rows) + "\r\n")

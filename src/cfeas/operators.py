@@ -87,16 +87,6 @@ def _strictly_centralized(norm_dx: float, norm_dy: float, ip: float) -> bool:
     return ip < -STEP_COSINE_TOL * norm_dx * norm_dy
 
 
-def is_strictly_centralized(pair: ProblemPair, z) -> bool:
-    """The strictness test `pcrm` applies, from two checked projections."""
-    z = as_point(z)
-    dx = z - project(pair.X, z)
-    dy = z - project(pair.Y, z)
-    return _strictly_centralized(
-        math.sqrt(float(dx.dot(dx))), math.sqrt(float(dy.dot(dy))), float(dx.dot(dy))
-    )
-
-
 def pcrm(pair: ProblemPair, z, px=None, py=None):
     """Circumcenter of z with its two reflections across X and Y.
 

@@ -40,6 +40,7 @@ class Constant:
     alpha: float
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
             raise InvalidSchedule(f"constant alpha must lie in (0,1), got {self.alpha}")
 

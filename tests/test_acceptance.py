@@ -26,6 +26,7 @@ from cfeas.errors import InsufficientTrace
 from cfeas.geometry import (
     Ball,
     ProblemPair,
+    as_point,
     distance,
     gap,
     project,
@@ -34,10 +35,10 @@ from cfeas.geometry import (
 from cfeas.operators import (
     KERNEL_STANDARD,
     KernelSpec,
+    _strictly_centralized,
     apply_kernel,
     centralize,
     circumcentered_step,
-    is_strictly_centralized,
     pcrm,
 )
 from cfeas.oracles import (
@@ -169,6 +170,16 @@ def test_criterion_2_circumcenter_correctness():
     assert worst_qp <= 1e-8
     assert strict >= 50
     assert elapsed < 10.0
+
+
+def is_strictly_centralized(pair: ProblemPair, z) -> bool:
+    """The strictness test `pcrm` applies, from two checked projections."""
+    z = as_point(z)
+    dx = z - project(pair.X, z)
+    dy = z - project(pair.Y, z)
+    return _strictly_centralized(
+        math.sqrt(float(dx.dot(dx))), math.sqrt(float(dy.dot(dy))), float(dx.dot(dy))
+    )
 
 
 def test_criterion_3_centralization_invariant():

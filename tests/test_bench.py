@@ -11,7 +11,7 @@ from cfeas.bench import ExperimentConfig, run_matrix
 from cfeas.errors import InvalidSpec
 from cfeas.oracles import oracle_check
 from cfeas.problems import CONFIG_SCHEMA, generate, schedule_from_json
-from cfeas.solver import Constant, Table, Vanishing
+from cfeas.solver import Constant, Table, Vanishing, solve
 
 
 def _config_doc(out_dir, seeds=(0, 1, 2)):
@@ -143,6 +143,33 @@ def test_plotdata_rows_are_the_traces_in_method_then_seed_order(tmp_path):
                 trace = list(csv.DictReader(fh))
             want += [[name, r["k"], r["delta"]] for r in trace if float(r["delta"]) > 0.0]
     assert rows == want
+
+
+def test_plotdata_bytes_match_the_csv_module(tmp_path):
+    """plotdata.csv reuses each trace row's k,delta text; its bytes are what
+    the csv module writes for the same (method, k, delta) rows, names that
+    csv must quote included.  The rows are deterministic, so the oracle
+    solves every cell again."""
+    doc = _config_doc(str(tmp_path / "run"), seeds=(0, 1))
+    doc["methods"] = [
+        {"name": "a,b", "schedule": {"kind": "vanishing"}},
+        {"name": 'q"t', "method": "map"},
+        {"name": "plain"},
+    ]
+    config = ExperimentConfig.from_json(doc)
+    run_matrix(config)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["method", "k", "delta"])
+        for m in sorted(config.methods, key=lambda m: m.name):
+            for seed in config.seeds:
+                trace = solve(generate(seed=seed, **doc["generator"]), m.config)
+                name = f"{m.name}_{seed}"
+                writer.writerows((name, r.k, r.delta) for r in trace.records if r.delta > 0.0)
+    data = (tmp_path / "run" / "plotdata.csv").read_bytes()
+    assert b'"a,b_0",1,' in data and b'"q""t_1",1,' in data
+    assert data == oracle.read_bytes()
 
 
 def test_plotdata_is_header_only_when_every_cell_fails(tmp_path, monkeypatch):

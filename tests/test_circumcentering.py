@@ -7,9 +7,10 @@ import pytest
 from cfeas.circumcentering import circumcenter
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
-from cfeas.operators import centralize, is_strictly_centralized, pcrm
+from cfeas.operators import centralize, pcrm
 from cfeas.oracles import circumcenter_residuals, supporting_halfspace_projection
 from cfeas.sampling import make_rng
+from test_acceptance import is_strictly_centralized
 
 
 def test_equidistance_and_span_random_triples():

@@ -10,10 +10,10 @@ from cfeas.operators import (
     apply_kernel,
     centralize,
     circumcentered_step,
-    is_strictly_centralized,
     pcrm,
 )
 from cfeas.sampling import make_rng
+from test_acceptance import is_strictly_centralized
 
 _KERNELS = (KernelSpec.from_string("Y"), KERNEL_STANDARD, KernelSpec.from_string("YXY"))
 

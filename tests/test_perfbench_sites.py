@@ -68,3 +68,31 @@ def test_every_ellipsoid_projection_reaches_the_patched_kernel(monkeypatch):
     last = trace.records[-1]
     assert trace.iterations > 0
     assert len(calls) == last.cum_proj_alg + last.cum_proj_diag - last.k
+
+
+def test_run_matrix_writes_through_the_patched_bench_writers(monkeypatch, tmp_path):
+    # the tracer's bench.io layer times a run's formatting through these
+    # names: one trace writer call per trace, one plotdata call per run
+    import cfeas.bench
+    from cfeas.bench import ExperimentConfig, run_matrix
+
+    calls = []
+    for attr in ("write_trace_csv", "emit_convergence_plotdata"):
+        def counted(*args, _attr=attr, _inner=getattr(cfeas.bench, attr)):
+            calls.append(_attr)
+            return _inner(*args)
+
+        monkeypatch.setattr(cfeas.bench, attr, counted)
+    config = ExperimentConfig.from_json(
+        {
+            "generator": {"family": "ellipsoids", "n": 10, "cond": 4.0, "tangency_gap": 0.05},
+            "methods": [{"name": "crm"}, {"name": "map", "method": "map"}],
+            "seeds": [0, 1, 2],
+            "eps": 1e-6,
+            "max_iter": 10000,
+            "output_dir": str(tmp_path),
+        }
+    )
+    _, report = run_matrix(config)
+    assert len(report["runs"]) == 6 and not report["failures"]
+    assert calls == ["write_trace_csv"] * 6 + ["emit_convergence_plotdata"]

@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cfeas.solver import (
     Constant,
     IterationRecord,
     SolverConfig,
+    SolveTrace,
     Table,
     Vanishing,
     estimate_rate_from_merits,
@@ -216,7 +218,7 @@ def _without_s_ref(pair):
     return ProblemPair(pair.X, pair.Y, pair.z0)
 
 
-@pytest.mark.parametrize(
+_trace_cases = pytest.mark.parametrize(
     "pair,cfg",
     [
         (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(eps=1e-10)),
@@ -226,9 +228,23 @@ def _without_s_ref(pair):
     ],
     ids=["crm", "no_s_ref", "numpy_alpha", "map"],
 )
+
+
+def _csv_module_trace(trace, path):
+    """The trace writer as the csv module writes it: the oracle that
+    write_trace_csv's own formatting must match byte for byte."""
+    names = [f.name for f in dataclasses.fields(IterationRecord)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(map(attrgetter(*names), trace.records))
+
+
+@_trace_cases
 def test_trace_csv_holds_every_record_field(tmp_path, pair, cfg):
     """Each column is one IterationRecord field, parsed back without loss:
-    None as "", NaN as nan, floats in shortest round-trip form."""
+    None as "", NaN as nan, floats in shortest round-trip form.  Every float
+    is a plain float, even for a NumPy alpha, so its repr is its digits."""
     trace = solve(pair, cfg)
     out = tmp_path / "trace.csv"
     write_trace_csv(trace, out)
@@ -246,8 +262,24 @@ def test_trace_csv_holds_every_record_field(tmp_path, pair, cfg):
             elif isinstance(value, int):
                 assert cell == str(value), name
             else:
+                assert type(value) is float, name
                 got = float(cell)
                 assert got == value or (math.isnan(got) and math.isnan(value)), name
+
+
+@_trace_cases
+def test_trace_csv_bytes_match_the_csv_module(tmp_path, pair, cfg):
+    trace = solve(pair, cfg)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _csv_module_trace(trace, tmp_path / "oracle.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_trace_csv_of_a_run_that_failed_at_z0_is_its_header(tmp_path):
+    trace = SolveTrace([], STATUS_NUMERICAL_FAILURE, np.zeros(2), failure="initial point")
+    assert write_trace_csv(trace, tmp_path / "trace.csv") == []
+    _csv_module_trace(trace, tmp_path / "oracle.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_map_iteration_counts_on_ell_map_instances():
