@@ -20,8 +20,8 @@ class EigenFailure(CfeasError, RuntimeError):
 class DegenerateCircumcenter(CfeasError, RuntimeError):
     """Distinct collinear points admit no equidistant point in their span.
 
-    This configuration cannot arise from reflections of a centralized point,
-    so it signals caller misuse rather than a numerical accident.
+    A centralized point n and its two reflections come this close to
+    collinear near tangency of the two sets; `pcrm` then returns P_X n.
     """
 
 

@@ -14,9 +14,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, EigenFailure, InvalidSpec, NonconvergedProjection
 
-# dist(z, C) <= MEMBERSHIP_RTOL * (1 + ||z||) counts as membership
-MEMBERSHIP_RTOL = 1e-12
-
 # Secular-equation solve for the ellipsoid projection
 _ELLIPSOID_RESIDUAL_TOL = 1e-13
 _ELLIPSOID_MAX_ITER = 200
@@ -377,7 +374,7 @@ def stopping_gap(pair: ProblemPair, z, px=None):
     sqrt(r.dot(r)) on the same BLAS dot, with both square roots correctly
     rounded.  The two projections are returned so that the next step can
     reuse one of them.  z must be a 1-D float array of the pair's dimension,
-    as the solver's iterates are; `gap` checks outside input.
+    as the solver's iterates are; it is not checked here.
 
     A caller that already holds P_X z hands it in as `px` and X is not
     projected again.  `px is z` says that z is itself an X-projection (MAP's
@@ -405,10 +402,3 @@ def stopping_gap(pair: ProblemPair, z, px=None):
         raise NonconvergedProjection("projection produced non-finite entries")
     return max(dist_x, dist_y), px, py
 
-
-def gap(pair: ProblemPair, z) -> float:
-    """Feasibility gap max{dist(z, X), dist(z, Y)}: the stopping merit."""
-    z = as_point(z)
-    if z.shape[0] != pair.dim:
-        raise DimensionMismatch(f"point dim {z.shape[0]} != pair dim {pair.dim}")
-    return stopping_gap(pair, z)[0]

@@ -12,7 +12,7 @@ import math
 
 from .circumcentering import circumcenter
 from .errors import DegenerateCircumcenter, InvalidKernel, NonconvergedProjection
-from .geometry import MEMBERSHIP_RTOL, ProblemPair, as_point, project
+from .geometry import ProblemPair, as_point, project
 
 # Strictness is a cosine test, ip < -tol * ||dx|| ||dy||: the inner product
 # itself shrinks like gap^2, so any fixed absolute scale would disable the
@@ -91,17 +91,16 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
     """Circumcenter of z with its two reflections across X and Y.
 
     Returns (next point, <z - P_X z, z - P_Y z>).  At a strictly centralized
-    z outside Y the circumcenter is the projection onto the two supporting
-    halfspaces at P_X z and P_Y z; otherwise, and when the reflections are
-    numerically collinear with z, the result is P_X z.
+    z the circumcenter is the projection onto the two supporting halfspaces
+    at P_X z and P_Y z.  Otherwise, and when the reflections are numerically
+    collinear with z (DegenerateCircumcenter), the result is P_X z.  A z in
+    Y takes the first fallback: its inner product is 0.
 
     `px`/`py`, when handed in, are not checked; a non-finite entry in either
     raises NonconvergedProjection through the inner product, where it would
     otherwise fail the strictness test and be replaced by P_X z.
 
-    Each norm is computed once, as math.sqrt(float(v.dot(v))), the bits of
-    numpy's 1-D norm: ||dy|| serves both the membership and the strictness
-    test, and ||dx|| is computed only when z is not in Y.
+    Norms are math.sqrt(float(v.dot(v))), the bits of numpy's 1-D norm.
     """
     z = as_point(z)
     if px is None:
@@ -113,9 +112,8 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
     ip = float(dx.dot(dy))
     if not math.isfinite(ip):
         raise NonconvergedProjection("projection produced non-finite entries")
-    norm_dy = math.sqrt(float(dy.dot(dy)))
-    in_y = norm_dy <= MEMBERSHIP_RTOL * (1.0 + math.sqrt(float(z.dot(z))))
-    if in_y or not _strictly_centralized(math.sqrt(float(dx.dot(dx))), norm_dy, ip):
+    norm_dx = math.sqrt(float(dx.dot(dx)))
+    if not _strictly_centralized(norm_dx, math.sqrt(float(dy.dot(dy))), ip):
         return px.copy(), ip
     try:
         # z + 2(P - z), not 2P - z: the two round differently and move traces

@@ -84,7 +84,6 @@ class SolverConfig:
     schedule: Constant | Vanishing | Table | None = None
     eps: float = 1e-10
     max_iter: int = 100_000
-    record_iterates: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.eps < math.inf:
@@ -125,7 +124,6 @@ class SolveTrace:
     records: List[IterationRecord]
     status: str
     final_point: np.ndarray
-    iterates: Optional[List[np.ndarray]] = None
     failure: Optional[str] = None
 
     @property
@@ -177,7 +175,6 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
-    iterates: Optional[List[np.ndarray]] = [z.copy()] if cfg.record_iterates else None
     cum_alg = 0
     cum_diag = 0
     t0 = time.perf_counter_ns()
@@ -203,11 +200,11 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     try:
         delta, px, py = stopping_gap(pair, z)
     except _FAILURES as exc:
-        return SolveTrace(records, STATUS_NUMERICAL_FAILURE, z, iterates, f"initial point: {exc}")
+        return SolveTrace(records, STATUS_NUMERICAL_FAILURE, z, f"initial point: {exc}")
     cum_diag += 2
     snapshot(0, delta, math.nan, math.nan)
     if delta <= cfg.eps:
-        return SolveTrace(records, STATUS_CONVERGED, z, iterates)
+        return SolveTrace(records, STATUS_CONVERGED, z)
 
     status = STATUS_MAX_ITER
     failure = None
@@ -231,13 +228,11 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             status = STATUS_NUMERICAL_FAILURE
             failure = f"iteration {k}: {exc}"
             break
-        if iterates is not None:
-            iterates.append(z.copy())
         snapshot(k + 1, delta, ip, alpha)
         if delta <= cfg.eps:
             status = STATUS_CONVERGED
             break
-    return SolveTrace(records, status, z, iterates, failure)
+    return SolveTrace(records, status, z, failure)
 
 
 @dataclass
@@ -246,8 +241,9 @@ class RateEstimate:
     rho: Optional[float] = None
 
 
-def estimate_rate_from_merits(merits) -> RateEstimate:
-    """Classify the convergence order of a positive merit sequence.
+def estimate_rate(merits) -> RateEstimate:
+    """Classify the convergence order of a positive merit sequence, such as
+    a trace's recorded gaps (`SolveTrace.deltas`).
 
     Ratios are computed only while the merit sits above a noise floor of
     100 * machine epsilon * scale.  A burn-in of max(10, 10% of the sequence)
@@ -283,9 +279,4 @@ def estimate_rate_from_merits(merits) -> RateEstimate:
         if np.all(last10 >= 0.8 * rho) and np.all(last10 <= 1.2 * rho):
             return RateEstimate(CLASS_LINEAR, rho=rho)
     return RateEstimate(CLASS_INCONCLUSIVE)
-
-
-def estimate_rate(trace: SolveTrace) -> RateEstimate:
-    """Rate estimate from a solve trace's recorded feasibility gaps."""
-    return estimate_rate_from_merits(trace.deltas)
 

@@ -28,9 +28,9 @@ from cfeas.geometry import (
     ProblemPair,
     as_point,
     distance,
-    gap,
     project,
     project_psd,
+    stopping_gap,
 )
 from cfeas.operators import (
     KERNEL_STANDARD,
@@ -222,7 +222,7 @@ def test_criterion_3_centralization_invariant():
     assert strict_hits == strict_eligible
 
 
-def test_criterion_4_fejer_suite():
+def test_criterion_4_fejer_suite(solve_recording):
     instances = [
         gen_matrix_completion(20, 3, 0.4, seed=0),
         gen_matrix_completion(20, 3, 0.4, seed=1),
@@ -232,22 +232,20 @@ def test_criterion_4_fejer_suite():
         gen_halfspace_wedge(15, 0.6, seed=1),
     ]
     configs = [
-        SolverConfig(schedule=Constant(0.5), eps=1e-2, max_iter=5000,
-                     record_iterates=True),
-        SolverConfig(schedule=Vanishing(), eps=1e-2, max_iter=5000,
-                     record_iterates=True),
+        SolverConfig(schedule=Constant(0.5), eps=1e-2, max_iter=5000),
+        SolverConfig(schedule=Vanishing(), eps=1e-2, max_iter=5000),
     ]
     worst_step = -np.inf
     worst_tele = -np.inf
     for pair in instances:
         s = pair.s_ref
         for cfg in configs:
-            trace = solve(pair, cfg)
-            zs = trace.iterates
+            trace, zs = solve_recording(pair, cfg)
             scale = max(1.0, float(np.linalg.norm(s - zs[0])) ** 2)
             for k in range(len(zs) - 1):
                 lhs = float(np.linalg.norm(s - zs[k + 1])) ** 2
-                rhs = float(np.linalg.norm(s - zs[k])) ** 2 - gap(pair, zs[k + 1]) ** 2
+                gap = stopping_gap(pair, zs[k + 1])[0]
+                rhs = float(np.linalg.norm(s - zs[k])) ** 2 - gap ** 2
                 worst_step = max(worst_step, (lhs - rhs) / scale)
             tele = float(np.sum(trace.deltas[1:] ** 2)) - float(
                 np.linalg.norm(s - zs[0])
@@ -264,7 +262,7 @@ def test_criterion_4_fejer_suite():
     assert worst_tele <= 1e-8
 
 
-def test_criterion_5_wedge_rate_sandwich():
+def test_criterion_5_wedge_rate_sandwich(solve_recording):
     t0 = time.time()
     worst_q = -np.inf
     worst_d = -np.inf
@@ -274,12 +272,8 @@ def test_criterion_5_wedge_rate_sandwich():
             omega = pair.metadata["omega"]
             beta = math.sqrt(1.0 - omega * omega)
             alpha = 0.5
-            cfg = SolverConfig(
-                schedule=Constant(alpha), eps=1e-14, max_iter=200,
-                record_iterates=True,
-            )
-            trace = solve(pair, cfg)
-            zs = trace.iterates
+            cfg = SolverConfig(schedule=Constant(alpha), eps=1e-14, max_iter=200)
+            _, zs = solve_recording(pair, cfg)
             zbar = zs[-1]
             burn = 1
             q_bound = (1.0 + omega * omega / 4.0) ** -0.5 + 1e-3
@@ -319,7 +313,7 @@ def test_criterion_6_superlinearity_detection():
         try:
             if (
                 tr.status == STATUS_CONVERGED
-                and estimate_rate(tr).classification == CLASS_SUPERLINEAR
+                and estimate_rate(tr.deltas).classification == CLASS_SUPERLINEAR
             ):
                 vanish_hits += 1
         except InsufficientTrace:
@@ -336,7 +330,7 @@ def test_criterion_6_superlinearity_detection():
         try:
             if (
                 tr.status == STATUS_CONVERGED
-                and estimate_rate(tr).classification == CLASS_SUPERLINEAR
+                and estimate_rate(tr.deltas).classification == CLASS_SUPERLINEAR
             ):
                 kernel_hits += 1
         except InsufficientTrace:
@@ -354,7 +348,7 @@ def test_criterion_6_superlinearity_detection():
     assert elapsed < 60.0
 
 
-def test_criterion_7_matrix_completion_trend():
+def test_criterion_7_matrix_completion_trend(solve_recording):
     """Deeper kernel wins at every alpha; alpha leaves every step unchanged.
 
     On this family Y (the entry mask) is affine and z0 lies in Y, so every
@@ -375,28 +369,26 @@ def test_criterion_7_matrix_completion_trend():
     half_runs = {}
     for kernel_name, kernel in kernels:
         for alpha in alphas:
-            traces = [
-                solve(
+            runs = [
+                solve_recording(
                     pair,
                     SolverConfig(
                         kernel=kernel,
                         schedule=Constant(alpha),
                         eps=1e-2,
                         max_iter=50000,
-                        record_iterates=alpha == 0.5,
                     ),
                 )
                 for pair in pairs
             ]
-            means[(kernel_name, alpha)] = float(np.mean([tr.iterations for tr in traces]))
+            means[(kernel_name, alpha)] = float(np.mean([tr.iterations for tr, _ in runs]))
             if alpha == 0.5:
-                half_runs[kernel_name] = traces
+                half_runs[kernel_name] = [zs for _, zs in runs]
     worst_in_y = 0.0
     worst_yxy = 0.0
     worst_alpha = 0.0
     for kernel_name, kernel in kernels:
-        for pair, trace in zip(pairs, half_runs[kernel_name]):
-            zs = trace.iterates
+        for pair, zs in zip(pairs, half_runs[kernel_name]):
             for z, nxt in zip(zs, zs[1:]):
                 scale = 1.0 + float(np.linalg.norm(nxt))
                 for alpha in (0.25, 0.75):

@@ -101,13 +101,17 @@ def test_pcrm_takes_px_exactly_when_not_strictly_centralized(eps, strict):
         assert np.array_equal(out, project(pair.X, z))
 
 
-def test_pcrm_in_y_reduces_to_px():
+def test_pcrm_at_a_point_of_y_takes_the_strictness_branch():
+    # z in Y: z - P_Y z = 0, so the inner product is 0, z is not strictly
+    # centralized, and pcrm returns P_X z
     X = Ball(np.zeros(3), 1.0)
     Y = Halfspace(np.array([0.0, 0.0, 1.0]), 5.0)
     pair = ProblemPair(X=X, Y=Y, z0=np.zeros(3))
-    z = np.array([3.0, 0.0, 0.0])  # already in Y
-    out, _ = pcrm(pair, z)
-    assert np.allclose(out, project(pair.X, z), atol=1e-12)
+    z = np.array([3.0, 0.0, 0.0])
+    out, ip = pcrm(pair, z)
+    assert ip == 0.0
+    assert not is_strictly_centralized(pair, z)
+    assert np.array_equal(out, project(pair.X, z))
 
 
 def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from cfeas.errors import InvalidKernel
-from cfeas.geometry import MEMBERSHIP_RTOL, Ball, Halfspace, ProblemPair, distance, project
+from cfeas.geometry import Ball, Halfspace, ProblemPair, distance, project
 from cfeas.operators import (
     KERNEL_STANDARD,
     KernelSpec,
@@ -15,11 +15,13 @@ from cfeas.operators import (
 from cfeas.sampling import make_rng
 from test_acceptance import is_strictly_centralized
 
+MEMBERSHIP_RTOL = 1e-12
+
 _KERNELS = (KernelSpec.from_string("Y"), KERNEL_STANDARD, KernelSpec.from_string("YXY"))
 
 
 def _contains(set_, z):
-    """Membership at the solver's tolerance: dist(z, C) <= rtol (1 + ||z||)."""
+    """Membership up to rounding: dist(z, C) <= MEMBERSHIP_RTOL (1 + ||z||)."""
     return distance(set_, z) <= MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
 
 

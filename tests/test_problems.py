@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfeas.errors import InvalidSpec
-from cfeas.geometry import MEMBERSHIP_RTOL, Ellipsoid, EntryMask, PsdCone, distance, gap
+from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, distance, stopping_gap
 from cfeas.problems import (
     gen_ellipsoids,
     gen_halfspace_wedge,
@@ -21,6 +21,8 @@ from cfeas.problems import (
 )
 from cfeas.sampling import make_rng
 
+MEMBERSHIP_RTOL = 1e-12
+
 
 def test_matrix_completion_structure():
     pair = gen_matrix_completion(12, 2, 0.4, seed=0)
@@ -28,7 +30,7 @@ def test_matrix_completion_structure():
     assert isinstance(pair.Y, EntryMask)
     assert pair.dim == 144
     # ground truth is feasible: PSD and consistent with the mask
-    assert gap(pair, pair.s_ref) <= 1e-10
+    assert stopping_gap(pair, pair.s_ref)[0] <= 1e-10
     a = pair.s_ref.reshape(12, 12)
     assert np.allclose(a, a.T)
     assert np.linalg.eigvalsh(a).min() >= -1e-10
@@ -57,7 +59,7 @@ def test_matrix_completion_z0_is_masked_truth():
 def test_matrix_completion_full_observation_pins_solution():
     pair = gen_matrix_completion(4, 1, 1.0, seed=3)
     assert len(pair.Y.values) == 16
-    assert gap(pair, pair.z0) <= 1e-10
+    assert stopping_gap(pair, pair.z0)[0] <= 1e-10
 
 
 def test_matrix_completion_invalid_params():
@@ -74,7 +76,7 @@ def _form(e, z):
 
 
 def _contains(set_, z):
-    """Membership at the solver's tolerance: dist(z, C) <= rtol (1 + ||z||)."""
+    """Membership up to rounding: dist(z, C) <= MEMBERSHIP_RTOL (1 + ||z||)."""
     return distance(set_, z) <= MEMBERSHIP_RTOL * (1.0 + float(np.linalg.norm(z)))
 
 
@@ -224,7 +226,7 @@ def test_ellipsoids_isotropic_case():
     pair = gen_ellipsoids(10, 1.0, 0.5, seed=3)
     assert np.allclose(pair.X.diag, 1.0)
     assert np.allclose(pair.Y.diag, 1.0)
-    assert gap(pair, pair.s_ref) <= 1e-10
+    assert stopping_gap(pair, pair.s_ref)[0] <= 1e-10
 
 
 def test_ellipsoids_z0_scale():
@@ -253,7 +255,7 @@ def test_wedge_geometry():
     cosang = float(n1 @ n2) / (np.linalg.norm(n1) * np.linalg.norm(n2))
     assert cosang == pytest.approx(np.cos(np.pi - theta), abs=1e-12)
     assert pair.metadata["omega"] == pytest.approx(np.sin(theta / 2.0))
-    assert gap(pair, pair.s_ref) <= 1e-12
+    assert stopping_gap(pair, pair.s_ref)[0] <= 1e-12
 
 
 def test_wedge_invalid_theta():

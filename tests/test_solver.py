@@ -26,7 +26,7 @@ from cfeas.solver import (
     SolveTrace,
     Table,
     Vanishing,
-    estimate_rate_from_merits,
+    estimate_rate,
     solve,
 )
 
@@ -67,7 +67,7 @@ def test_ccrm_config_defaults():
     assert cfg.method == "crm"
     assert cfg.kernel == "XY"
     assert cfg.schedule == Constant(0.5)
-    assert (cfg.eps, cfg.max_iter, cfg.record_iterates) == (1e-10, 100_000, False)
+    assert (cfg.eps, cfg.max_iter) == (1e-10, 100_000)
     assert (SolverConfig(method="map").kernel, SolverConfig(method="map").schedule) == (None, None)
 
 
@@ -135,29 +135,42 @@ def test_solve_hits_iteration_cap():
         assert trace.iterations == 2
 
 
-def test_solve_fejer_monotone_distances():
+def test_solve_fejer_monotone_distances(solve_recording):
     pair = gen_ellipsoids(40, 20.0, seed=3)
-    trace = solve(pair, SolverConfig(eps=1e-12, record_iterates=True))
+    _, zs = solve_recording(pair, SolverConfig(eps=1e-12))
     s = pair.s_ref
-    dists = [np.linalg.norm(z - s) for z in trace.iterates]
+    dists = [np.linalg.norm(z - s) for z in zs]
     scale = 1.0 + dists[0]
     for a, b in zip(dists, dists[1:]):
         assert b <= a + 1e-9 * scale
 
 
-def test_solve_map_matches_composition():
+def test_solve_map_matches_composition(solve_recording):
     pair = gen_ellipsoids(15, 10.0, seed=4)
-    cfg = SolverConfig(method="map", eps=1e-10, max_iter=50000, record_iterates=True)
-    trace = solve(pair, cfg)
+    cfg = SolverConfig(method="map", eps=1e-10, max_iter=50000)
+    trace, zs = solve_recording(pair, cfg)
     assert trace.status == STATUS_CONVERGED
-    from cfeas.geometry import project
 
     z = pair.z0
-    for znext in trace.iterates[1:3]:
+    for znext in zs[1:3]:
         z = project(pair.X, project(pair.Y, z))
         assert np.allclose(znext, z, atol=1e-12)
     # two projections per iteration, counted as algorithmic
     assert trace.total_algorithmic_projections == 2 * trace.iterations
+
+
+@pytest.mark.parametrize("given", [{"kernel": "XY"}, {"method": "map"}], ids=["crm", "map"])
+def test_solve_recording_sees_each_iterate_once(given, solve_recording):
+    pair = gen_ellipsoids(15, 10.0, seed=4)
+    cfg = SolverConfig(**given, eps=1e-6, max_iter=5000)
+    trace, zs = solve_recording(pair, cfg)
+    assert trace.status == STATUS_CONVERGED
+    assert len(zs) == trace.iterations + 1
+    assert np.array_equal(zs[0], pair.z0)
+    assert np.array_equal(zs[-1], trace.final_point)
+    if cfg.method == "map":
+        for z, znext in zip(zs, zs[1:]):
+            assert np.array_equal(znext, pair.X._project(pair.Y._project(z)))
 
 
 def test_solve_map_slower_than_circumcentered_on_ellipsoids():
@@ -166,6 +179,15 @@ def test_solve_map_slower_than_circumcentered_on_ellipsoids():
     amap = solve(pair, SolverConfig(method="map", eps=1e-8, max_iter=20000))
     assert crm.status == STATUS_CONVERGED
     assert amap.iterations > crm.iterations
+
+
+def test_tight_ellipsoid_run_keeps_the_circumcenter_step():
+    # the gap reaches about 1e-12 at k = 7; the step must stay a circumcenter
+    # step there, since a P_X n step shrinks this gap by only about 0.4%
+    pair = gen_ellipsoids(100, 1.5, seed=4)
+    trace = solve(pair, SolverConfig(schedule=Constant(0.5), eps=1e-12))
+    assert trace.status == STATUS_CONVERGED
+    assert trace.iterations <= 10
 
 
 def test_wedge_converges_immediately():
@@ -177,27 +199,27 @@ def test_wedge_converges_immediately():
 
 def test_rate_geometric_sequence_classifies_linear():
     merits = 0.5 ** np.arange(40)
-    est = estimate_rate_from_merits(merits)
+    est = estimate_rate(merits)
     assert est.classification == CLASS_LINEAR
     assert est.rho == pytest.approx(0.5, rel=1e-6)
 
 
 def test_rate_squared_exponent_classifies_superlinear():
     merits = np.array([2.0 ** -(k * k) for k in range(12)])
-    est = estimate_rate_from_merits(merits)
+    est = estimate_rate(merits)
     assert est.classification == CLASS_SUPERLINEAR
 
 
 def test_rate_noisy_sequence_inconclusive():
     rng = np.random.default_rng(0)
     merits = np.exp(rng.uniform(-1.0, 1.0, 60))
-    est = estimate_rate_from_merits(merits)
+    est = estimate_rate(merits)
     assert est.classification == CLASS_INCONCLUSIVE
 
 
 def test_rate_short_trace_raises():
     with pytest.raises(InsufficientTrace):
-        estimate_rate_from_merits(np.ones(5))
+        estimate_rate(np.ones(5))
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -373,15 +395,15 @@ def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
 
 
 @pytest.mark.parametrize("instance", _ALL_INSTANCES)
-def test_map_iterates_are_x_projections(instance):
+def test_map_iterates_are_x_projections(instance, solve_recording):
     """The premise of MAP's one-distance gap: a MAP iterate after z0 is
     P_X of a point, so re-projecting it onto X moves it only by rounding, and
     dist(z, X) never decides the gap unless both distances are at that level."""
     (family, seed, params), eps = _ALL_INSTANCES[instance]
     pair = generate(family, seed, **params)
-    trace = solve(pair, SolverConfig(method="map", eps=eps, max_iter=2000, record_iterates=True))
-    assert trace.iterations == len(trace.iterates) - 1 > 0
-    for z in trace.iterates[1:]:
+    trace, zs = solve_recording(pair, SolverConfig(method="map", eps=eps, max_iter=2000))
+    assert trace.iterations == len(zs) - 1 > 0
+    for z in zs[1:]:
         residual = 1e-13 * (1.0 + float(np.linalg.norm(z)))
         dist_x, dist_y = distance(pair.X, z), distance(pair.Y, z)
         assert dist_x <= residual
