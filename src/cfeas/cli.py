@@ -70,11 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
     slv.set_defaults(run=_cmd_solve)
     slv.add_argument("--instance", help="instance JSON from `gen`")
     _add_generator_args(slv, required=False)
-    slv.add_argument("--method", choices=METHODS, default="crm")
+    slv.add_argument("--method", choices=METHODS, default=SolverConfig.method)
     slv.add_argument("--kernel", help="crm only: a word over X and Y")
     slv.add_argument("--schedule", help="crm only: constant:A | vanishing | table:A,B,...")
     slv.add_argument("--eps", type=float, default=1e-8)
-    slv.add_argument("--max-iter", type=int, default=100_000)
+    slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     slv.add_argument("--trace-out")
 
     ben = sub.add_parser("bench", help="run an experiment matrix from a config file")

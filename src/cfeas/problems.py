@@ -27,7 +27,7 @@ from .geometry import (
 )
 from .operators import KernelSpec
 from .sampling import make_rng
-from .solver import METHODS, Constant, Table, Vanishing
+from .solver import METHODS, Constant, SolverConfig, Table, Vanishing
 
 DEFAULT_TANGENCY_GAP = 1e-3
 
@@ -422,7 +422,7 @@ _method_kind = reader({"enum": list(METHODS)}, lambda text: read_str(text))
 _kernel = reader(read_str.schema, lambda text: KernelSpec(read_str(text)))
 _METHOD_FIELDS = (
     ("name", read_str),
-    ("method", _method_kind, "crm"),
+    ("method", _method_kind, SolverConfig.method),
     ("kernel", _kernel, None),
     ("schedule", schedule_from_json, None),
 )
@@ -442,7 +442,7 @@ CONFIG_FIELDS = (
     ("methods", read_list(_method)),
     ("seeds", read_list(read_seed)),
     ("eps", read_number, 1e-8),
-    ("max_iter", read_int, 100_000),
+    ("max_iter", read_int, SolverConfig.max_iter),
     ("output_dir", read_str, "bench_out"),
 )
 CONFIG_SCHEMA = fields_schema(CONFIG_FIELDS)

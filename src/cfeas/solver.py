@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import List, Optional
@@ -86,10 +87,11 @@ class SolverConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 < self.eps < math.inf:
-            raise InvalidSpec(f"eps must be positive and finite, got {self.eps}")
-        if self.max_iter < 1:
-            raise InvalidSpec("max_iter must be >= 1")
+        if not isinstance(self.eps, numbers.Real) or not 0.0 < self.eps < math.inf:
+            raise InvalidSpec(f"eps must be positive and finite, got {self.eps!r}")
+        max_iter = self.max_iter
+        if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 1:
+            raise InvalidSpec(f"max_iter must be an integer >= 1, got {max_iter!r}")
         if self.method not in METHODS:
             raise InvalidSpec(f"unknown method {self.method!r}")
         if self.method == "map":
@@ -152,19 +154,20 @@ _FAILURES = (NonconvergedProjection, EigenFailure)
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """Iterate until the feasibility gap drops to eps or the cap is reached.
 
-    cfg.method picks the step: "crm" takes one circumcentered step, "map" the
-    alternating-projections step z_{k+1} = P_X(P_Y(z_k)).  The stopping gap
-    at each iterate projects onto both sets; the next step reuses the
-    projection it needs (the one matching the kernel's innermost token, or
-    MAP's P_Y z_k) instead of computing it again.  A MAP iterate after z0 is
-    itself an X-projection, so its gap takes P_X z = z and projects onto Y
-    alone.  The counters are logical: `cum_proj_alg` adds len(kernel) + 2 per
-    cCRM step and 2 per MAP step; `cum_proj_diag` adds 2 per gap, except 1
-    per MAP gap after z0.  The one projection per iteration that the step
-    and the gap share is counted in both, and the projections actually
-    evaluated are cum_proj_alg + cum_proj_diag - k for either method: 2 per
-    MAP iteration.  MAP records carry NaN for the centralization inner
-    product and alpha.
+    z0 is iteration 0; each later iteration k takes one step from z_{k-1}.
+    cfg.method picks the step: "crm" takes one circumcentered step with
+    alpha = schedule(k - 1), "map" the alternating-projections step
+    z_k = P_X(P_Y(z_{k-1})).  The stopping gap at each iterate projects onto
+    both sets; the next step reuses the projection it needs (the one
+    matching the kernel's innermost token, or MAP's P_Y z) instead of
+    computing it again.  A MAP iterate after z0 is itself an X-projection,
+    so its gap takes P_X z = z and projects onto Y alone.  The counters are
+    logical closed forms of k: `cum_proj_alg` is k * (len(kernel) + 2) for
+    cCRM and 2k for MAP; `cum_proj_diag` is 2 + 2k and 2 + k.  The one
+    projection per iteration that the step and the gap share is counted in
+    both, and the projections actually evaluated are cum_proj_alg +
+    cum_proj_diag - k for either method: 2 per MAP iteration.  Records at z0
+    and of MAP carry NaN for the centralization inner product and alpha.
 
     Inputs are checked once, by ProblemPair; inside the loop the projections
     are the sets' unchecked `_project`, and finiteness is checked once per
@@ -175,60 +178,35 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """
     z = as_point(pair.z0).copy()
     records: List[IterationRecord] = []
-    cum_alg = 0
-    cum_diag = 0
+    status = STATUS_MAX_ITER
+    failure = None
+    crm = cfg.method == "crm"
+    lead_x = crm and cfg.kernel[0] == "X"
+    alg_step, diag_step = (len(cfg.kernel) + 2, 2) if crm else (2, 1)
+    ip = alpha = math.nan
     t0 = time.perf_counter_ns()
-
-    def snapshot(k, delta, ip, alpha):
+    for k in range(cfg.max_iter + 1):
+        try:
+            if k and crm:
+                alpha = cfg.schedule(k - 1)
+                z, ip = circumcentered_step(pair, z, alpha, cfg.kernel, px if lead_x else py)
+            elif k:
+                z = pair.X._project(py)
+            delta, px, py = stopping_gap(pair, z, px=z if k and not crm else None)
+        except _FAILURES as exc:
+            status = STATUS_NUMERICAL_FAILURE
+            failure = f"iteration {k - 1}: {exc}" if k else f"initial point: {exc}"
+            break
         dist_sref = None
         if pair.s_ref is not None:
             r = z - pair.s_ref
             dist_sref = math.sqrt(float(r.dot(r)))
         records.append(
             IterationRecord(
-                k=k,
-                delta=delta,
-                dist_sref=dist_sref,
-                centralization_ip=ip,
-                alpha=alpha,
-                cum_proj_alg=cum_alg,
-                cum_proj_diag=cum_diag,
-                wall_ns=time.perf_counter_ns() - t0,
+                k, delta, dist_sref, ip, alpha, k * alg_step, 2 + k * diag_step,
+                time.perf_counter_ns() - t0,
             )
         )
-
-    try:
-        delta, px, py = stopping_gap(pair, z)
-    except _FAILURES as exc:
-        return SolveTrace(records, STATUS_NUMERICAL_FAILURE, z, f"initial point: {exc}")
-    cum_diag += 2
-    snapshot(0, delta, math.nan, math.nan)
-    if delta <= cfg.eps:
-        return SolveTrace(records, STATUS_CONVERGED, z)
-
-    status = STATUS_MAX_ITER
-    failure = None
-    crm = cfg.method == "crm"
-    lead_x = crm and cfg.kernel[0] == "X"
-    ip = alpha = math.nan
-    for k in range(cfg.max_iter):
-        try:
-            if crm:
-                alpha = cfg.schedule(k)
-                z, ip = circumcentered_step(pair, z, alpha, cfg.kernel, px if lead_x else py)
-                cum_alg += len(cfg.kernel) + 2
-                delta, px, py = stopping_gap(pair, z)
-                cum_diag += 2
-            else:
-                z = pair.X._project(py)
-                cum_alg += 2
-                delta, px, py = stopping_gap(pair, z, px=z)
-                cum_diag += 1
-        except _FAILURES as exc:
-            status = STATUS_NUMERICAL_FAILURE
-            failure = f"iteration {k}: {exc}"
-            break
-        snapshot(k + 1, delta, ip, alpha)
         if delta <= cfg.eps:
             status = STATUS_CONVERGED
             break
@@ -248,7 +226,8 @@ def estimate_rate(merits) -> RateEstimate:
     Ratios are computed only while the merit sits above a noise floor of
     100 * machine epsilon * scale.  A burn-in of max(10, 10% of the sequence)
     is discarded (the theoretical rates are asymptotic), but never so much
-    that fewer than five ratios remain for the superlinear window.
+    that fewer than five ratios remain for the superlinear window.  Linear
+    needs rho < 1: a flat or growing sequence is inconclusive.
     """
     m = np.asarray(merits, dtype=float)
     if m.ndim != 1 or m.shape[0] < 10:
@@ -276,7 +255,7 @@ def estimate_rate(merits) -> RateEstimate:
     if ratios.size >= 10:
         last10 = ratios[-10:]
         rho = float(np.exp(np.mean(np.log(last10))))
-        if np.all(last10 >= 0.8 * rho) and np.all(last10 <= 1.2 * rho):
+        if rho < 1.0 and np.all(last10 >= 0.8 * rho) and np.all(last10 <= 1.2 * rho):
             return RateEstimate(CLASS_LINEAR, rho=rho)
     return RateEstimate(CLASS_INCONCLUSIVE)
 

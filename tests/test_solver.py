@@ -60,6 +60,12 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(method="newton")
+    # a wrong type is a usage error too, never a TypeError later in solve
+    for given in ({"max_iter": 2.5}, {"max_iter": True}, {"eps": "1e-8"}, {"eps": None}):
+        with pytest.raises(InvalidSpec):
+            SolverConfig(**given)
+    cfg = SolverConfig(max_iter=np.int64(3), eps=np.float64(1e-3))
+    assert solve(gen_halfspace_wedge(4, 0.5, seed=0), cfg).iterations <= 3
 
 
 def test_ccrm_config_defaults():
@@ -107,6 +113,8 @@ def test_eigh_failure_ends_a_matrix_completion_solve_at_its_iteration(monkeypatc
     assert trace.status == STATUS_NUMERICAL_FAILURE
     assert trace.failure == "iteration 1: Eigenvalues did not converge"
     assert [r.k for r in trace.records] == [0, 1]
+    assert [r.cum_proj_alg for r in trace.records] == [0, 4]
+    assert [r.cum_proj_diag for r in trace.records] == [2, 4]
 
 
 def test_solve_orthogonal_halfspaces_single_iteration():
@@ -202,6 +210,14 @@ def test_rate_geometric_sequence_classifies_linear():
     est = estimate_rate(merits)
     assert est.classification == CLASS_LINEAR
     assert est.rho == pytest.approx(0.5, rel=1e-6)
+
+
+@pytest.mark.parametrize("factor", [1.0, 1.001], ids=["flat", "growing"])
+def test_rate_flat_or_growing_sequence_is_not_linear(factor):
+    merits = factor ** np.arange(40)
+    est = estimate_rate(merits)
+    assert est.classification == CLASS_INCONCLUSIVE
+    assert est.rho is None
 
 
 def test_rate_squared_exponent_classifies_superlinear():
@@ -323,32 +339,39 @@ def test_trace_delta_reaches_eps():
 def _reference_solve(pair, cfg):
     """Both drivers with every projection computed afresh: the stopping gap
     from `distance`, each step without a handed-in projection.  `columns`
-    holds each record's (centralization_ip, alpha): NaN at k = 0 and for MAP.
-    `diag` counts the projections the solver's gap evaluates: 2 per gap, but
-    1 per MAP gap after z0, which takes P_X z = z."""
+    holds each record's (centralization_ip, alpha, dist_sref, cum_proj_alg,
+    cum_proj_diag): NaN ip and alpha at k = 0 and for MAP, dist_sref from
+    np.linalg.norm, and the counters as running sums.  The diagonal counter
+    adds the projections the solver's gap evaluates: 2 per gap, but 1 per MAP
+    gap after z0, which takes P_X z = z."""
     z = pair.z0.copy()
-    deltas = [max(distance(pair.X, z), distance(pair.Y, z))]
-    columns = [(math.nan, math.nan)]
     alg, diag = 0, 2
+    deltas, columns = [], []
+
+    def record(delta, ip=math.nan, alpha=math.nan):
+        dist_sref = None if pair.s_ref is None else float(np.linalg.norm(z - pair.s_ref))
+        deltas.append(delta)
+        columns.append((ip, alpha, dist_sref, alg, diag))
+
+    record(max(distance(pair.X, z), distance(pair.Y, z)))
     status, iterations = STATUS_MAX_ITER, cfg.max_iter
     if deltas[0] <= cfg.eps:
-        return deltas, columns, alg, diag, STATUS_CONVERGED, 0, z
+        return deltas, columns, STATUS_CONVERGED, 0, z
     for k in range(cfg.max_iter):
+        ip = alpha = math.nan
         if cfg.method == "map":
             z = project(pair.X, project(pair.Y, z))
             alg += 2
-            columns.append((math.nan, math.nan))
         else:
             alpha = cfg.schedule(k)
             z, ip = circumcentered_step(pair, z, alpha, cfg.kernel)
             alg += len(cfg.kernel) + 2
-            columns.append((ip, alpha))
-        deltas.append(max(distance(pair.X, z), distance(pair.Y, z)))
         diag += 1 if cfg.method == "map" else 2
+        record(max(distance(pair.X, z), distance(pair.Y, z)), ip, alpha)
         if deltas[-1] <= cfg.eps:
             status, iterations = STATUS_CONVERGED, k + 1
             break
-    return deltas, columns, alg, diag, status, iterations, z
+    return deltas, columns, status, iterations, z
 
 
 _INSTANCES = {
@@ -384,12 +407,14 @@ def test_reused_gap_projections_keep_traces_bit_identical(instance, options):
     pair = generate(family, seed, **params)
     cfg = SolverConfig(eps=eps, max_iter=2000, **options)
     trace = solve(pair, cfg)
-    deltas, columns, alg, diag, status, iterations, z = _reference_solve(pair, cfg)
+    deltas, columns, status, iterations, z = _reference_solve(pair, cfg)
     assert trace.deltas.tolist() == deltas
-    got = np.array([(r.centralization_ip, r.alpha) for r in trace.records])
-    assert np.array_equal(got, np.array(columns), equal_nan=True)
-    assert trace.records[-1].cum_proj_alg == alg
-    assert trace.records[-1].cum_proj_diag == diag
+    fields = attrgetter("centralization_ip", "alpha", "dist_sref", "cum_proj_alg", "cum_proj_diag")
+    got = [fields(r) for r in trace.records]
+    assert len(got) == len(columns)
+    for row, want in zip(got, columns):
+        # NaN == NaN fails, so compare the NaN columns by their reprs
+        assert repr(row) == repr(want)
     assert (trace.status, trace.iterations) == (status, iterations)
     assert np.array_equal(trace.final_point, z)
 

@@ -1,0 +1,117 @@
+"""Print one digest line per solve of a fixed list, to check that a change
+leaves every trace bit-identical.
+
+    PYTHONPATH=<checkout>/src python3 tools/trace_digest.py > digests.txt
+
+Run it on two checkouts and `diff` the outputs.  Each line is the solve's
+name, status, iteration count and a sha256 over every record field except
+`wall_ns`, the failure text and the final point.  The solves cover the three
+generator families with every kernel shape, both schedules and MAP, iteration
+caps of 1, 2 and 7, failures at z0 and mid-run, and the instances of the
+`mc_psd` and `ell_map` benchmark workloads.
+"""
+from __future__ import annotations
+
+import os
+
+# one BLAS thread, as in the benchmark, before numpy is first imported
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+from contextlib import contextmanager
+from dataclasses import astuple
+
+import numpy as np
+
+from cfeas.geometry import ProblemPair
+from cfeas.problems import generate
+from cfeas.solver import Constant, SolverConfig, Vanishing, solve
+
+FAMILIES = {
+    "ellipsoids": ({"n": 30, "cond": 10.0}, 1e-10),
+    "matrix_completion": ({"n": 12, "rank": 2, "obs_frac": 0.5}, 1e-6),
+    "halfspace_wedge": ({"n": 10, "theta": 0.5}, 1e-12),
+}
+METHODS = [
+    {"kernel": kernel, "schedule": schedule}
+    for kernel in ("Y", "XY", "YXY", "XYXY")
+    for schedule in (Constant(0.5), Vanishing())
+] + [{"method": "map"}]
+# (family, params, seeds, method, eps, max_iter) of the benchmark workloads,
+# with the instance seeds of their run seed 0
+WORKLOADS = {
+    "mc_psd": ("matrix_completion", {"n": 80, "rank": 3, "obs_frac": 0.6}, range(16),
+               {"kernel": "XY"}, 1.0, 5000),
+    "ell_map": ("ellipsoids", {"n": 100, "cond": 1.5, "tangency_gap": 1e-3}, range(5),
+                {"method": "map"}, 1e-4, 200_000),
+}
+
+
+@contextmanager
+def failing_eigh(call):
+    """np.linalg.eigh raises LinAlgError at its `call`-th call."""
+    eigh, calls = np.linalg.eigh, [0]
+
+    def failing(m):
+        calls[0] += 1
+        if calls[0] == call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(m)
+
+    np.linalg.eigh = failing
+    try:
+        yield
+    finally:
+        np.linalg.eigh = eigh
+
+
+def solves():
+    """(name, pair, config, eigh call to fail or None), in a fixed order."""
+    for family, (params, eps) in FAMILIES.items():
+        for seed in range(3):
+            pair = generate(family, seed, **params)
+            for options in METHODS:
+                name = f"{family}-{seed}-" + (
+                    f"{options['kernel']}-{type(options['schedule']).__name__}"
+                    if "kernel" in options else "map"
+                )
+                for max_iter in (1, 2, 7, 2000):
+                    cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
+                    yield f"{name}-cap{max_iter}", pair, cfg, None
+    for workload, (family, params, seeds, options, eps, max_iter) in WORKLOADS.items():
+        for seed in seeds:
+            cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
+            yield f"{workload}-{seed}", generate(family, seed, **params), cfg, None
+    far = generate("ellipsoids", 0, n=6, cond=4.0)
+    far = ProblemPair(far.X, far.Y, np.full(6, 1e160))  # overflows the ellipsoid projection
+    mc = generate("matrix_completion", 2, **FAMILIES["matrix_completion"][0])
+    for method in ("crm", "map"):
+        yield f"far-z0-{method}", far, SolverConfig(method=method), None
+        # crm: z0's gap is eigh call 1 and each XY step makes two more;
+        # map: z0's gap is call 1 and each step makes one
+        cfg = SolverConfig(method=method, eps=1e-300, max_iter=10)
+        yield f"eigh-fails-{method}", mc, cfg, 4 if method == "crm" else 3
+
+
+def digest(trace) -> str:
+    h = hashlib.sha256()
+    for record in trace.records:
+        h.update(repr(astuple(record)[:-1]).encode())  # wall_ns is last
+    h.update(repr(trace.failure).encode())
+    h.update(np.asarray(trace.final_point, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def main():
+    for name, pair, cfg, fail_at in solves():
+        if fail_at is None:
+            trace = solve(pair, cfg)
+        else:
+            with failing_eigh(fail_at):
+                trace = solve(pair, cfg)
+        print(name, trace.status, trace.iterations, digest(trace))
+
+
+if __name__ == "__main__":
+    main()
