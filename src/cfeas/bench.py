@@ -88,6 +88,7 @@ class RunResult:
 
 
 def _run_one(config: ExperimentConfig, method: MethodSpec, seed: int) -> RunResult:
+    # looked up at call time: perfbench swaps cfeas.bench.generate and cfeas.solver.solve
     from .solver import solve
 
     gen = dict(config.generator)

@@ -9,6 +9,7 @@ from .bench import ExperimentConfig, run_matrix, write_trace_csv
 from .errors import CfeasError, InvalidSpec
 from .oracles import SUITES, oracle_check
 from .problems import (
+    CONFIG_FIELDS,
     CONFIG_SCHEMA,
     GENERATORS,
     SCHEDULES,
@@ -73,7 +74,8 @@ def build_parser() -> argparse.ArgumentParser:
     slv.add_argument("--method", choices=METHODS, default=SolverConfig.method)
     slv.add_argument("--kernel", help="crm only: a word over X and Y")
     slv.add_argument("--schedule", help="crm only: constant:A | vanishing | table:A,B,...")
-    slv.add_argument("--eps", type=float, default=1e-8)
+    eps = next(field[2] for field in CONFIG_FIELDS if field[0] == "eps")  # a bench config's
+    slv.add_argument("--eps", type=float, default=eps)
     slv.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     slv.add_argument("--trace-out")
 

@@ -179,16 +179,16 @@ class EntryMask:
         if np.any((self.rows < 0) | (self.rows >= n) | (self.cols < 0) | (self.cols >= n)):
             raise ValueError("mask index out of range")
         flat = self.rows * n + self.cols
-        if flat.size:
-            # a pair given twice keeps its last value: scatter each flat
-            # index's last occurrence, the first one in the reversed order
-            uniq, first_rev = np.unique(flat[::-1], return_index=True)
-            pinned = np.zeros((n, n), dtype=bool)
-            dense = np.zeros((n, n))
-            pinned.flat[uniq] = True
-            dense.flat[uniq] = self.values[::-1][first_rev]
-            if not (np.array_equal(pinned, pinned.T) and np.array_equal(dense, dense.T)):
-                raise ValueError("entry mask must be symmetric with equal values")
+        # a pair given twice keeps its last value, its first occurrence in the
+        # reversed order; the mask is symmetric iff sorting the transposed
+        # indices gives the indices back, each with the same value
+        uniq, first_rev = np.unique(flat[::-1], return_index=True)
+        pinned = self.values[::-1][first_rev]
+        i, j = np.divmod(uniq, n)
+        transposed = j * n + i
+        perm = np.argsort(transposed)
+        if not (np.array_equal(transposed[perm], uniq) and np.array_equal(pinned[perm], pinned)):
+            raise ValueError("entry mask must be symmetric with equal values")
         object.__setattr__(self, "_flat", flat.astype(int))
 
     @property

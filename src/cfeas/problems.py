@@ -29,33 +29,18 @@ from .operators import KernelSpec
 from .sampling import make_rng
 from .solver import METHODS, Constant, SolverConfig, Table, Vanishing
 
-DEFAULT_TANGENCY_GAP = 1e-3
 
-
-def _checked_by(ranges):
-    """Mark a generator with the check of its parameters' ranges, which the
-    generator makes first and the bench config loader makes alone, without
-    generating an instance."""
-
-    def mark(gen):
-        gen.ranges = ranges
-        return gen
-
-    return mark
-
-
-def _matrix_completion_ranges(n: int, r: int, obs_frac: float) -> None:
-    if not 0 < r < n:
-        raise InvalidSpec(f"need 0 < rank < n, got rank={r}, n={n}")
+def _matrix_completion_ranges(n: int, rank: int, obs_frac: float) -> None:
+    if not 0 < rank < n:
+        raise InvalidSpec(f"need 0 < rank < n, got rank={rank}, n={n}")
     if not 0.0 < obs_frac <= 1.0:
         raise InvalidSpec(f"obs_frac must lie in (0, 1], got {obs_frac}")
 
 
-@_checked_by(_matrix_completion_ranges)
-def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> ProblemPair:
+def _matrix_completion(n: int, rank: int, obs_frac: float, rng) -> ProblemPair:
     """PSD matrix completion: X = PSD cone, Y = entries pinned on a mask.
 
-    The ground truth A = B B^T (B n x r standard normal) is feasible by
+    The ground truth A = B B^T (B n x rank standard normal) is feasible by
     construction and serves as s_ref.  The mask follows rng.permutation(n^2)
     of flat indices: each draw p = i n + j pins (i, j) and (j, i), and the
     draws stop once at least ceil(obs_frac * n^2) entries are pinned.  rows
@@ -68,9 +53,7 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     again, so a kernel's leading P_Y does nothing on this family: YXY acts as
     XY, and the deeper kernel here is XYXY.
     """
-    _matrix_completion_ranges(n, r, obs_frac)
-    rng = make_rng(seed)
-    b = rng.standard_normal((n, r))
+    b = rng.standard_normal((n, rank))
     a = b @ b.T
     perm = rng.permutation(n * n)
     i, j = np.divmod(perm, n)
@@ -88,20 +71,12 @@ def gen_matrix_completion(n: int, r: int, obs_frac: float, seed: int) -> Problem
     values = a[rows, cols]
     z0 = np.zeros((n, n))
     z0[rows, cols] = values
-    pair = ProblemPair(
+    return ProblemPair(
         X=PsdCone(n),
         Y=EntryMask(n, rows, cols, values),
         z0=z0.reshape(-1),
         s_ref=a.reshape(-1),
-        metadata={
-            "family": "matrix_completion",
-            "n": n,
-            "rank": r,
-            "obs_frac": obs_frac,
-            "seed": int(seed),
-        },
     )
-    return pair
 
 
 def _ellipsoids_ranges(n: int, cond: float, tangency_gap: float) -> None:
@@ -113,10 +88,7 @@ def _ellipsoids_ranges(n: int, cond: float, tangency_gap: float) -> None:
         raise InvalidSpec("dimension must be >= 1")
 
 
-@_checked_by(_ellipsoids_ranges)
-def gen_ellipsoids(
-    n: int, cond: float, tangency_gap: float = DEFAULT_TANGENCY_GAP, seed: int = 0
-) -> ProblemPair:
+def _ellipsoids(n: int, cond: float, tangency_gap: float, rng) -> ProblemPair:
     """Two nearly tangent anisotropic ellipsoids sharing an interior point.
 
     Axis scales are log-uniform on [1, cond].  The centers sit symmetrically
@@ -125,8 +97,6 @@ def gen_ellipsoids(
     intersection therefore has nonempty interior and s_ref = 0 is feasible.
     z0 is a seeded random point at roughly the ellipsoid diameter from s_ref.
     """
-    _ellipsoids_ranges(n, cond, tangency_gap)
-    rng = make_rng(seed)
     d1 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
     d2 = np.exp(rng.uniform(0.0, math.log(cond), n)) if cond > 1.0 else np.ones(n)
     c1 = np.zeros(n)
@@ -142,13 +112,6 @@ def gen_ellipsoids(
         Y=Ellipsoid(c2, d2),
         z0=z0,
         s_ref=np.zeros(n),
-        metadata={
-            "family": "ellipsoids",
-            "n": n,
-            "cond": cond,
-            "tangency_gap": tangency_gap,
-            "seed": int(seed),
-        },
     )
 
 
@@ -159,16 +122,13 @@ def _halfspace_wedge_ranges(n: int, theta: float) -> None:
         raise InvalidSpec("wedge needs dimension >= 2")
 
 
-@_checked_by(_halfspace_wedge_ranges)
-def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
+def _halfspace_wedge(n: int, theta: float, rng) -> ProblemPair:
     """Two halfspaces through the origin whose normals meet at angle pi - theta.
 
     Their intersection is a wedge of opening angle theta, and the local error
     bound holds globally with constant omega = sin(theta / 2) in the plane
     spanned by the normals; omega is recorded in the metadata for rate tests.
     """
-    _halfspace_wedge_ranges(n, theta)
-    rng = make_rng(seed)
     basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
     u1, u2 = basis[:, 0], basis[:, 1]
     s, c = math.sin(theta / 2.0), math.cos(theta / 2.0)
@@ -180,13 +140,7 @@ def gen_halfspace_wedge(n: int, theta: float, seed: int = 0) -> ProblemPair:
         Y=Halfspace(n2, 0.0),
         z0=z0,
         s_ref=np.zeros(n),
-        metadata={
-            "family": "halfspace_wedge",
-            "n": n,
-            "theta": theta,
-            "omega": s,
-            "seed": int(seed),
-        },
+        metadata={"omega": s},
     )
 
 
@@ -285,29 +239,44 @@ def variants_schema(table: dict, tag: str, default=None) -> dict:
     return {"oneOf": branches}
 
 
-# family -> (generator, its parameters in call order); the seed comes last
+# a builder's `ranges` checks its parameters' ranges: `generate` calls it before
+# building, and the bench config loader calls it alone, without building
+_matrix_completion.ranges = _matrix_completion_ranges
+_ellipsoids.ranges = _ellipsoids_ranges
+_halfspace_wedge.ranges = _halfspace_wedge_ranges
+
+# family -> (instance builder, its parameters in call order); a builder takes
+# the instance's rng last
 GENERATORS = {
     "matrix_completion": (
-        gen_matrix_completion,
+        _matrix_completion,
         (("n", read_int), ("rank", read_int), ("obs_frac", read_number)),
     ),
     "ellipsoids": (
-        gen_ellipsoids,
+        _ellipsoids,
         (
             ("n", read_int),
             ("cond", read_number),
-            ("tangency_gap", read_number, DEFAULT_TANGENCY_GAP),
+            ("tangency_gap", read_number, 1e-3),
         ),
     ),
-    "halfspace_wedge": (gen_halfspace_wedge, (("n", read_int), ("theta", read_number))),
+    "halfspace_wedge": (_halfspace_wedge, (("n", read_int), ("theta", read_number))),
 }
 
 
 def generate(family: str, seed: int, **params) -> ProblemPair:
-    """The seeded `family` instance; InvalidSpec for a parameter the family
-    does not take, a missing one or a seed outside [0, 2**128)."""
-    gen, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
-    return gen(*args, read_seed(seed))
+    """The seeded `family` instance, the one way to build one.  InvalidSpec
+    for a parameter the family does not take or a missing one, then for a
+    seed outside [0, 2**128), then for a parameter out of the family's range.
+    The metadata lists the family, its parameters, a wedge's omega and the
+    seed."""
+    build, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
+    seed = read_seed(seed)
+    build.ranges(*args)
+    pair = build(*args, make_rng(seed))
+    names = [key for key, *_ in GENERATORS[family][1]]
+    pair.metadata = {"family": family, **dict(zip(names, args)), **pair.metadata, "seed": seed}
+    return pair
 
 
 _numbers, _indices = read_list(read_number), read_list(read_int)
@@ -397,7 +366,7 @@ def load_pair(path) -> ProblemPair:
 
 # kind -> (schedule, its fields); a schedule that names no kind is constant
 SCHEDULES = {
-    "constant": (Constant, (("alpha", read_number, 0.5),)),
+    "constant": (Constant, (("alpha", read_number, Constant.alpha),)),
     "vanishing": (Vanishing, ()),
     "table": (Table, (("values", _numbers),)),
 }
@@ -409,8 +378,8 @@ def schedule_from_json(doc):
 
 
 def _generator_doc(doc) -> dict:
-    gen, args = read_variant(doc, "{} generator", GENERATORS, "family")
-    gen.ranges(*args)
+    build, args = read_variant(doc, "{} generator", GENERATORS, "family")
+    build.ranges(*args)
     return dict(doc)
 
 

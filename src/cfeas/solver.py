@@ -38,7 +38,7 @@ CLASS_INCONCLUSIVE = "inconclusive"
 
 @dataclass(frozen=True)
 class Constant:
-    alpha: float
+    alpha: float = 0.5  # classical cCRM
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -99,7 +99,7 @@ class SolverConfig:
                 raise InvalidSpec("method map takes no kernel or schedule")
             return
         self.kernel = KERNEL_STANDARD if self.kernel is None else KernelSpec(self.kernel)
-        self.schedule = Constant(0.5) if self.schedule is None else self.schedule
+        self.schedule = Constant() if self.schedule is None else self.schedule
         if not isinstance(self.schedule, (Constant, Vanishing, Table)):
             raise InvalidSchedule(f"not a step schedule: {self.schedule!r}")
 

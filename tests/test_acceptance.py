@@ -48,7 +48,7 @@ from cfeas.oracles import (
     supporting_halfspace_projection,
     wedge_distance_to_intersection,
 )
-from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, gen_matrix_completion
+from cfeas.problems import generate
 from cfeas.sampling import make_rng, random_point, random_set
 from cfeas.solver import (
     CLASS_SUPERLINEAR,
@@ -224,12 +224,12 @@ def test_criterion_3_centralization_invariant():
 
 def test_criterion_4_fejer_suite(solve_recording):
     instances = [
-        gen_matrix_completion(20, 3, 0.4, seed=0),
-        gen_matrix_completion(20, 3, 0.4, seed=1),
-        gen_ellipsoids(60, 20.0, 1e-3, seed=0),
-        gen_ellipsoids(60, 20.0, 1e-3, seed=1),
-        gen_halfspace_wedge(15, 0.6, seed=0),
-        gen_halfspace_wedge(15, 0.6, seed=1),
+        generate("matrix_completion", 0, n=20, rank=3, obs_frac=0.4),
+        generate("matrix_completion", 1, n=20, rank=3, obs_frac=0.4),
+        generate("ellipsoids", 0, n=60, cond=20.0, tangency_gap=1e-3),
+        generate("ellipsoids", 1, n=60, cond=20.0, tangency_gap=1e-3),
+        generate("halfspace_wedge", 0, n=15, theta=0.6),
+        generate("halfspace_wedge", 1, n=15, theta=0.6),
     ]
     configs = [
         SolverConfig(schedule=Constant(0.5), eps=1e-2, max_iter=5000),
@@ -268,7 +268,7 @@ def test_criterion_5_wedge_rate_sandwich(solve_recording):
     worst_d = -np.inf
     for theta in (0.3, 0.7, 1.2):
         for seed in range(5):
-            pair = gen_halfspace_wedge(12, theta, seed)
+            pair = generate("halfspace_wedge", seed, n=12, theta=theta)
             omega = pair.metadata["omega"]
             beta = math.sqrt(1.0 - omega * omega)
             alpha = 0.5
@@ -305,7 +305,7 @@ def test_criterion_6_superlinearity_detection():
     vanish_hits = 0
     kernel_hits = 0
     for seed in range(5):
-        pair = gen_ellipsoids(50, 20.0, 1e-3, seed)
+        pair = generate("ellipsoids", seed, n=50, cond=20.0, tangency_gap=1e-3)
         tr = solve(
             pair,
             SolverConfig(schedule=Vanishing(), eps=1e-12, max_iter=20000),
@@ -364,7 +364,7 @@ def test_criterion_7_matrix_completion_trend(solve_recording):
     rtol = 1e-10
     alphas = (0.25, 0.5, 0.75)
     kernels = (("XY", KERNEL_STANDARD), ("XYXY", KernelSpec("XYXY")))
-    pairs = [gen_matrix_completion(30, 3, 0.4, seed) for seed in range(10)]
+    pairs = [generate("matrix_completion", seed, n=30, rank=3, obs_frac=0.4) for seed in range(10)]
     means = {}
     half_runs = {}
     for kernel_name, kernel in kernels:
@@ -428,7 +428,7 @@ def test_criterion_8_ellipsoid_schedule_trend():
     iters = {"constant": [], "vanishing": []}
     deltas = {"constant": [], "vanishing": []}
     for seed in range(10):
-        pair = gen_ellipsoids(200, 20.0, seed=seed)
+        pair = generate("ellipsoids", seed, n=200, cond=20.0)
         for name, schedule in (
             ("constant", Constant(0.5)),
             ("vanishing", Vanishing()),
@@ -469,7 +469,7 @@ _COST_PER_ITERATION = (
 
 
 def test_criterion_9_cost_accounting():
-    pair = gen_ellipsoids(40, 20.0, 1e-3, seed=0)
+    pair = generate("ellipsoids", 0, n=40, cond=20.0, tangency_gap=1e-3)
     ok = True
     detail = []
     for kernel, cost in _COST_PER_ITERATION:

@@ -8,10 +8,11 @@ import pytest
 
 import cfeas.bench
 from cfeas.bench import ExperimentConfig, run_matrix
+from cfeas.cli import build_parser
 from cfeas.errors import InvalidSpec
 from cfeas.oracles import oracle_check
 from cfeas.problems import CONFIG_SCHEMA, generate, schedule_from_json
-from cfeas.solver import Constant, Table, Vanishing, solve
+from cfeas.solver import Constant, SolverConfig, Table, Vanishing, solve
 
 
 def _config_doc(out_dir, seeds=(0, 1, 2)):
@@ -47,6 +48,14 @@ def test_schedule_from_json_variants():
     assert config.methods[0].config.schedule == Constant(0.5)
     with pytest.raises(InvalidSpec):
         schedule_from_json({"kind": "adaptive"})
+
+
+def test_solve_and_bench_config_defaults_agree():
+    # each default is stated once: alpha in Constant, eps in the config table
+    assert schedule_from_json({}) == SolverConfig().schedule
+    doc = _config_doc("out")
+    del doc["eps"]
+    assert build_parser().parse_args(["solve"]).eps == ExperimentConfig.from_json(doc).eps
 
 
 def test_experiment_config_validation():

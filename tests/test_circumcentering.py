@@ -49,6 +49,11 @@ def test_collinear_distinct_points_degenerate():
         circumcenter(z, v, w)
 
 
+def test_inputs_of_different_lengths_raise():
+    with pytest.raises(ValueError, match="share one dimension"):
+        circumcenter(np.zeros(2), np.ones(2), np.ones(3))
+
+
 def test_planar_triangle_matches_analytic_circumcenter():
     # right triangle: circumcenter is the hypotenuse midpoint
     z = np.array([0.0, 0.0])

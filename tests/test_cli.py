@@ -12,7 +12,7 @@ import pytest
 import cfeas.bench
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, build_parser, main
 from cfeas.oracles import SUITES
-from cfeas.problems import GENERATORS, gen_halfspace_wedge, pair_to_json, read_int, read_number
+from cfeas.problems import GENERATORS, generate, pair_to_json, read_int, read_number
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -235,7 +235,7 @@ def test_oracle_check_without_scipy(monkeypatch, capsys):
 
 def _write_instance(tmp_path, edit):
     """Write a generated wedge instance's document, changed by `edit`."""
-    doc = pair_to_json(gen_halfspace_wedge(4, 0.5, seed=0))
+    doc = pair_to_json(generate("halfspace_wedge", 0, n=4, theta=0.5))
     edit(doc)
     path = str(tmp_path / "inst.json")
     with open(path, "w") as fh:
@@ -283,6 +283,15 @@ def _extra_key(doc):
     doc["z1"] = doc["z0"]
 
 
+def _set_x(variant, **fields):
+    """An edit that makes set X the given set."""
+
+    def edit(doc):
+        doc["X"] = {"variant": variant, **fields}
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit,words",
     [
@@ -296,6 +305,15 @@ def _extra_key(doc):
         (_nan_s_ref, ["s_ref", "non-finite"]),
         (_inf_s_ref, ["s_ref", "non-finite"]),
         (_extra_key, ["instance", "unknown field", "'z1'"]),
+        (_set_x("halfspace", normal=[0.0] * 4, offset=0.0), ["set X (halfspace)", "nonzero"]),
+        (_set_x("box", lo=[1.0, 0, 0, 0], hi=[0.0, 1, 1, 1]), ["set X (box)", "lo <= hi"]),
+        (_set_x("ball", center=[0.0] * 4, radius=0.0), ["set X (ball)", "positive"]),
+        (_set_x("ellipsoid", center=[0.0] * 4, diag=[1.0] * 3), ["set X (ellipsoid)", "length"]),
+        (_set_x("psd_cone", order=0), ["set X (psd_cone)", "order must be >= 1"]),
+        (
+            _set_x("entry_mask", order=2, rows=[0, 1], cols=[0], values=[1.0, 1.0]),
+            ["set X (entry_mask)", "equal length"],
+        ),
     ],
     ids=[
         "missing_field",
@@ -308,6 +326,12 @@ def _extra_key(doc):
         "nan_s_ref",
         "inf_s_ref",
         "extra_key",
+        "zero_normal",
+        "box_lo_above_hi",
+        "zero_radius",
+        "ellipsoid_lengths_differ",
+        "psd_order_zero",
+        "mask_lengths_differ",
     ],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):

@@ -32,7 +32,7 @@ def test_step_reaches_the_patched_circumcenter(monkeypatch):
     # the tracer's circumcentering layer counts calls through this name; on
     # matrix completion every cCRM step takes the circumcenter branch
     import cfeas.operators
-    from cfeas.problems import gen_matrix_completion
+    from cfeas.problems import generate
     from cfeas.solver import SolverConfig, solve
 
     calls = []
@@ -43,7 +43,8 @@ def test_step_reaches_the_patched_circumcenter(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(cfeas.operators, "circumcenter", counted)
-    trace = solve(gen_matrix_completion(12, 2, 0.5, seed=0), SolverConfig(eps=1e-6))
+    pair = generate("matrix_completion", 0, n=12, rank=2, obs_frac=0.5)
+    trace = solve(pair, SolverConfig(eps=1e-6))
     assert trace.iterations > 0
     assert len(calls) == trace.iterations
 
@@ -53,7 +54,7 @@ def test_every_ellipsoid_projection_reaches_the_patched_kernel(monkeypatch):
     # on two ellipsoids MAP evaluates cum_proj_alg + cum_proj_diag - k
     # projections, and every one of them is an ellipsoid projection
     import cfeas.geometry
-    from cfeas.problems import gen_ellipsoids
+    from cfeas.problems import generate
     from cfeas.solver import SolverConfig, solve
 
     calls = []
@@ -64,7 +65,7 @@ def test_every_ellipsoid_projection_reaches_the_patched_kernel(monkeypatch):
         return inner(*args)
 
     monkeypatch.setattr(cfeas.geometry, "project_ellipsoid_multiplier", counted)
-    trace = solve(gen_ellipsoids(30, 10), SolverConfig(method="map"))
+    trace = solve(generate("ellipsoids", 0, n=30, cond=10), SolverConfig(method="map"))
     last = trace.records[-1]
     assert trace.iterations > 0
     assert len(calls) == last.cum_proj_alg + last.cum_proj_diag - last.k

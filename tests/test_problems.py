@@ -10,9 +10,6 @@ from hypothesis import strategies as st
 from cfeas.errors import InvalidSpec
 from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, distance, stopping_gap
 from cfeas.problems import (
-    gen_ellipsoids,
-    gen_halfspace_wedge,
-    gen_matrix_completion,
     generate,
     load_pair,
     pair_from_json,
@@ -25,7 +22,7 @@ MEMBERSHIP_RTOL = 1e-12
 
 
 def test_matrix_completion_structure():
-    pair = gen_matrix_completion(12, 2, 0.4, seed=0)
+    pair = generate("matrix_completion", 0, n=12, rank=2, obs_frac=0.4)
     assert isinstance(pair.X, PsdCone)
     assert isinstance(pair.Y, EntryMask)
     assert pair.dim == 144
@@ -38,7 +35,7 @@ def test_matrix_completion_structure():
 
 def test_matrix_completion_mask_is_symmetric_and_covers_fraction():
     n = 15
-    pair = gen_matrix_completion(n, 3, 0.4, seed=1)
+    pair = generate("matrix_completion", 1, n=n, rank=3, obs_frac=0.4)
     mask = pair.Y
     pairs = set(zip(mask.rows.tolist(), mask.cols.tolist()))
     for i, j in pairs:
@@ -47,7 +44,7 @@ def test_matrix_completion_mask_is_symmetric_and_covers_fraction():
 
 
 def test_matrix_completion_z0_is_masked_truth():
-    pair = gen_matrix_completion(8, 2, 0.5, seed=2)
+    pair = generate("matrix_completion", 2, n=8, rank=2, obs_frac=0.5)
     z0 = pair.z0.reshape(8, 8)
     a = pair.s_ref.reshape(8, 8)
     mask = np.zeros((8, 8), dtype=bool)
@@ -57,16 +54,16 @@ def test_matrix_completion_z0_is_masked_truth():
 
 
 def test_matrix_completion_full_observation_pins_solution():
-    pair = gen_matrix_completion(4, 1, 1.0, seed=3)
+    pair = generate("matrix_completion", 3, n=4, rank=1, obs_frac=1.0)
     assert len(pair.Y.values) == 16
     assert stopping_gap(pair, pair.z0)[0] <= 1e-10
 
 
 def test_matrix_completion_invalid_params():
     with pytest.raises(InvalidSpec):
-        gen_matrix_completion(5, 5, 0.4, seed=0)
+        generate("matrix_completion", 0, n=5, rank=5, obs_frac=0.4)
     with pytest.raises(InvalidSpec):
-        gen_matrix_completion(5, 2, 0.0, seed=0)
+        generate("matrix_completion", 0, n=5, rank=2, obs_frac=0.0)
 
 
 def _form(e, z):
@@ -103,7 +100,7 @@ def _reference_mask(n, obs_frac, rng):
 
 
 def _assert_matches_reference(n, r, obs_frac, seed):
-    """gen_matrix_completion equals the reference sampler byte for byte;
+    """The matrix_completion family equals the reference sampler byte for byte;
     returns the reference's number of draws."""
     rng = make_rng(seed)
     b = rng.standard_normal((n, r))
@@ -118,7 +115,7 @@ def _assert_matches_reference(n, r, obs_frac, seed):
         "z0": z0.reshape(-1),
         "s_ref": a.reshape(-1),
     }
-    pair = gen_matrix_completion(n, r, obs_frac, seed)
+    pair = generate("matrix_completion", seed, n=n, rank=r, obs_frac=obs_frac)
     got = {
         "rows": pair.Y.rows,
         "cols": pair.Y.cols,
@@ -163,7 +160,7 @@ def test_matrix_completion_mask_matches_reference_property(n_rank, obs_frac, see
 def test_matrix_completion_full_observation_stops_at_last_new_pair():
     for n in (2, 3, 7):
         for seed in range(4):
-            pair = gen_matrix_completion(n, 1, 1.0, seed)
+            pair = generate("matrix_completion", seed, n=n, rank=1, obs_frac=1.0)
             assert pair.Y.rows.tolist() == np.repeat(np.arange(n), n).tolist()
             assert pair.Y.cols.tolist() == np.tile(np.arange(n), n).tolist()
             draws = _assert_matches_reference(n, 1, 1.0, seed)
@@ -179,7 +176,7 @@ def test_matrix_completion_target_one_stops_after_one_draw():
     sizes = set()
     for n in (2, 3):
         for seed in range(20):
-            pair = gen_matrix_completion(n, 1, 1e-9, seed)
+            pair = generate("matrix_completion", seed, n=n, rank=1, obs_frac=1e-9)
             assert _assert_matches_reference(n, 1, 1e-9, seed) == 1
             rng = make_rng(seed)
             rng.standard_normal((n, 1))
@@ -191,7 +188,7 @@ def test_matrix_completion_target_one_stops_after_one_draw():
 
 def test_ellipsoids_interior_margin():
     for seed in range(5):
-        pair = gen_ellipsoids(30, 20.0, 1e-3, seed)
+        pair = generate("ellipsoids", seed, n=30, cond=20.0, tangency_gap=1e-3)
         assert isinstance(pair.X, Ellipsoid)
         assert isinstance(pair.Y, Ellipsoid)
         # the reference point sits inside both with quadratic margin = gap
@@ -204,7 +201,7 @@ def test_ellipsoids_interior_margin():
 def test_ellipsoids_interior_point_probe():
     # direction probes from s_ref stay feasible for a short distance, so the
     # reference point is interior to both sets, not merely on the boundary
-    pair = gen_ellipsoids(200, 20.0, 1e-3, seed=1)
+    pair = generate("ellipsoids", 1, n=200, cond=20.0, tangency_gap=1e-3)
     rng = np.random.default_rng(0)
     step = 1e-5
     for _ in range(100):
@@ -216,21 +213,21 @@ def test_ellipsoids_interior_point_probe():
 
 
 def test_ellipsoids_condition_number_range():
-    pair = gen_ellipsoids(100, 20.0, 1e-3, seed=2)
+    pair = generate("ellipsoids", 2, n=100, cond=20.0, tangency_gap=1e-3)
     for e in (pair.X, pair.Y):
         assert e.diag.min() >= 1.0 - 1e-12
         assert e.diag.max() <= 20.0 + 1e-12
 
 
 def test_ellipsoids_isotropic_case():
-    pair = gen_ellipsoids(10, 1.0, 0.5, seed=3)
+    pair = generate("ellipsoids", 3, n=10, cond=1.0, tangency_gap=0.5)
     assert np.allclose(pair.X.diag, 1.0)
     assert np.allclose(pair.Y.diag, 1.0)
     assert stopping_gap(pair, pair.s_ref)[0] <= 1e-10
 
 
 def test_ellipsoids_z0_scale():
-    pair = gen_ellipsoids(50, 20.0, 1e-3, seed=4)
+    pair = generate("ellipsoids", 4, n=50, cond=20.0, tangency_gap=1e-3)
     r = np.linalg.norm(pair.z0 - pair.s_ref)
     # about the ellipsoid diameters away from the reference point
     assert 1.0 <= r <= 5.0
@@ -238,18 +235,18 @@ def test_ellipsoids_z0_scale():
 
 def test_ellipsoids_invalid_params():
     with pytest.raises(InvalidSpec):
-        gen_ellipsoids(10, 0.5, 1e-3, seed=0)
+        generate("ellipsoids", 0, n=10, cond=0.5, tangency_gap=1e-3)
     with pytest.raises(InvalidSpec):
-        gen_ellipsoids(10, 20.0, 0.0, seed=0)
+        generate("ellipsoids", 0, n=10, cond=20.0, tangency_gap=0.0)
     # NaN passes `cond < 1` and would give an isotropic instance; inf overflows
     for cond in (float("nan"), float("inf")):
         with pytest.raises(InvalidSpec, match="condition number"):
-            gen_ellipsoids(10, cond, 1e-3, seed=0)
+            generate("ellipsoids", 0, n=10, cond=cond, tangency_gap=1e-3)
 
 
 def test_wedge_geometry():
     theta = 0.8
-    pair = gen_halfspace_wedge(12, theta, seed=0)
+    pair = generate("halfspace_wedge", 0, n=12, theta=theta)
     n1, n2 = pair.X.normal, pair.Y.normal
     # normals at angle pi - theta and closed-form error bound constant
     cosang = float(n1 @ n2) / (np.linalg.norm(n1) * np.linalg.norm(n2))
@@ -260,23 +257,23 @@ def test_wedge_geometry():
 
 def test_wedge_invalid_theta():
     with pytest.raises(InvalidSpec):
-        gen_halfspace_wedge(5, 0.0, seed=0)
+        generate("halfspace_wedge", 0, n=5, theta=0.0)
     with pytest.raises(InvalidSpec):
-        gen_halfspace_wedge(5, 2.0, seed=0)
+        generate("halfspace_wedge", 0, n=5, theta=2.0)
 
 
 def test_wedge_needs_dimension_two():
     with pytest.raises(InvalidSpec, match="dimension >= 2"):
-        gen_halfspace_wedge(1, 0.5, seed=0)
+        generate("halfspace_wedge", 0, n=1, theta=0.5)
 
 
 def test_generators_deterministic():
-    a = gen_ellipsoids(20, 20.0, 1e-3, seed=9)
-    b = gen_ellipsoids(20, 20.0, 1e-3, seed=9)
+    a = generate("ellipsoids", 9, n=20, cond=20.0, tangency_gap=1e-3)
+    b = generate("ellipsoids", 9, n=20, cond=20.0, tangency_gap=1e-3)
     assert np.array_equal(a.z0, b.z0)
     assert np.array_equal(a.X.diag, b.X.diag)
-    c = gen_matrix_completion(10, 2, 0.4, seed=9)
-    d = gen_matrix_completion(10, 2, 0.4, seed=9)
+    c = generate("matrix_completion", 9, n=10, rank=2, obs_frac=0.4)
+    d = generate("matrix_completion", 9, n=10, rank=2, obs_frac=0.4)
     assert np.array_equal(c.s_ref, d.s_ref)
     assert np.array_equal(c.Y.rows, d.Y.rows)
 
@@ -294,9 +291,9 @@ def test_generate_dispatch_and_unknown_family():
 
 def test_json_roundtrip_all_families(tmp_path):
     instances = [
-        gen_matrix_completion(6, 2, 0.5, seed=0),
-        gen_ellipsoids(12, 10.0, 1e-3, seed=0),
-        gen_halfspace_wedge(7, 0.5, seed=0),
+        generate("matrix_completion", 0, n=6, rank=2, obs_frac=0.5),
+        generate("ellipsoids", 0, n=12, cond=10.0, tangency_gap=1e-3),
+        generate("halfspace_wedge", 0, n=7, theta=0.5),
     ]
     for idx, pair in enumerate(instances):
         doc = pair_to_json(pair)

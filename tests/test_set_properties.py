@@ -3,12 +3,13 @@
 Sets come from `sampling.random_set` in dimensions 1-30 (matrix orders 1-8),
 points at scales 1e-2 to 1e3, and members from `sampling.random_member`, which
 builds them from the set's definition and not through the projection.
-Instances come from the three generators with parameters drawn across their
-valid ranges.  Arrays come from a seeded generator so that one example stays
-cheap; hypothesis chooses the seeds and the sizes.
+Instances come from `generate` for the three families, with parameters drawn
+across their valid ranges.  Arrays come from a seeded generator so that one
+example stays cheap; hypothesis chooses the seeds and the sizes.
 """
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,13 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfeas.geometry import EntryMask, project
-from cfeas.problems import (
-    gen_ellipsoids,
-    gen_halfspace_wedge,
-    gen_matrix_completion,
-    pair_from_json,
-    pair_to_json,
-)
+from cfeas.problems import generate, pair_from_json, pair_to_json
 from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
 
 PROPERTY_SETTINGS = settings(max_examples=60)
@@ -65,12 +60,14 @@ def instances(draw):
     if family == "matrix_completion":
         n = draw(st.integers(2, 12))
         rank = draw(st.integers(1, n - 1))
-        return gen_matrix_completion(n, rank, draw(st.floats(0.05, 1.0)), seed)
+        obs_frac = draw(st.floats(0.05, 1.0))
+        return generate("matrix_completion", seed, n=n, rank=rank, obs_frac=obs_frac)
     if family == "ellipsoids":
         cond = 10.0 ** draw(st.floats(0.0, 4.0))
         gap = 10.0 ** draw(st.floats(-8.0, -0.5))
-        return gen_ellipsoids(draw(st.integers(1, 30)), cond, gap, seed)
-    return gen_halfspace_wedge(draw(st.integers(2, 30)), draw(st.floats(0.01, 1.55)), seed)
+        return generate("ellipsoids", seed, n=draw(st.integers(1, 30)), cond=cond, tangency_gap=gap)
+    n = draw(st.integers(2, 30))
+    return generate("halfspace_wedge", seed, n=n, theta=draw(st.floats(0.01, 1.55)))
 
 
 def _assert_same_set(a, b):
@@ -146,3 +143,14 @@ def test_entry_mask_checks_as_the_loop_reference(case):
     if expected is None:
         mask = EntryMask(order, rows, cols, values)
         assert np.array_equal(mask._flat, rows * order + cols)
+
+
+def test_entry_mask_memory_follows_its_entries_not_its_order():
+    # a dense order x order check would take about 90 MB here
+    tracemalloc.start()
+    try:
+        EntryMask(3000, [0], [0], [1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -12,7 +12,7 @@ from cfeas.bench import write_trace_csv
 from cfeas.errors import InsufficientTrace, InvalidKernel, InvalidSchedule, InvalidSpec
 from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
-from cfeas.problems import gen_ellipsoids, gen_halfspace_wedge, generate
+from cfeas.problems import generate
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
     CLASS_LINEAR,
@@ -65,7 +65,7 @@ def test_config_validation():
         with pytest.raises(InvalidSpec):
             SolverConfig(**given)
     cfg = SolverConfig(max_iter=np.int64(3), eps=np.float64(1e-3))
-    assert solve(gen_halfspace_wedge(4, 0.5, seed=0), cfg).iterations <= 3
+    assert solve(generate("halfspace_wedge", 0, n=4, theta=0.5), cfg).iterations <= 3
 
 
 def test_ccrm_config_defaults():
@@ -80,7 +80,7 @@ def test_ccrm_config_defaults():
 def test_config_reads_a_kernel_word_and_checks_kernel_and_schedule_at_construction():
     cfg = SolverConfig(kernel="yxy")
     assert isinstance(cfg.kernel, KernelSpec) and cfg.kernel == "YXY"
-    pair = gen_halfspace_wedge(4, 0.5, seed=0)
+    pair = generate("halfspace_wedge", 0, n=4, theta=0.5)
     given = solve(pair, SolverConfig(kernel="XY", eps=1e-10))
     assert given.status == STATUS_CONVERGED
     assert np.array_equal(given.deltas, solve(pair, SolverConfig(eps=1e-10)).deltas)
@@ -128,7 +128,7 @@ def test_solve_orthogonal_halfspaces_single_iteration():
 
 
 def test_solve_feasible_start_zero_iterations():
-    pair = gen_ellipsoids(10, 5.0, seed=0)
+    pair = generate("ellipsoids", 0, n=10, cond=5.0)
     pair2 = ProblemPair(pair.X, pair.Y, z0=pair.s_ref, s_ref=pair.s_ref)
     trace = solve(pair2, SolverConfig(eps=1e-10))
     assert trace.status == STATUS_CONVERGED
@@ -136,7 +136,7 @@ def test_solve_feasible_start_zero_iterations():
 
 
 def test_solve_hits_iteration_cap():
-    pair = gen_ellipsoids(30, 20.0, seed=2)
+    pair = generate("ellipsoids", 2, n=30, cond=20.0)
     trace = solve(pair, SolverConfig(eps=1e-15, max_iter=2))
     assert trace.status in (STATUS_MAX_ITER, STATUS_CONVERGED)
     if trace.status == STATUS_MAX_ITER:
@@ -144,7 +144,7 @@ def test_solve_hits_iteration_cap():
 
 
 def test_solve_fejer_monotone_distances(solve_recording):
-    pair = gen_ellipsoids(40, 20.0, seed=3)
+    pair = generate("ellipsoids", 3, n=40, cond=20.0)
     _, zs = solve_recording(pair, SolverConfig(eps=1e-12))
     s = pair.s_ref
     dists = [np.linalg.norm(z - s) for z in zs]
@@ -154,7 +154,7 @@ def test_solve_fejer_monotone_distances(solve_recording):
 
 
 def test_solve_map_matches_composition(solve_recording):
-    pair = gen_ellipsoids(15, 10.0, seed=4)
+    pair = generate("ellipsoids", 4, n=15, cond=10.0)
     cfg = SolverConfig(method="map", eps=1e-10, max_iter=50000)
     trace, zs = solve_recording(pair, cfg)
     assert trace.status == STATUS_CONVERGED
@@ -169,7 +169,7 @@ def test_solve_map_matches_composition(solve_recording):
 
 @pytest.mark.parametrize("given", [{"kernel": "XY"}, {"method": "map"}], ids=["crm", "map"])
 def test_solve_recording_sees_each_iterate_once(given, solve_recording):
-    pair = gen_ellipsoids(15, 10.0, seed=4)
+    pair = generate("ellipsoids", 4, n=15, cond=10.0)
     cfg = SolverConfig(**given, eps=1e-6, max_iter=5000)
     trace, zs = solve_recording(pair, cfg)
     assert trace.status == STATUS_CONVERGED
@@ -182,7 +182,7 @@ def test_solve_recording_sees_each_iterate_once(given, solve_recording):
 
 
 def test_solve_map_slower_than_circumcentered_on_ellipsoids():
-    pair = gen_ellipsoids(50, 20.0, seed=5)
+    pair = generate("ellipsoids", 5, n=50, cond=20.0)
     crm = solve(pair, SolverConfig(eps=1e-8, max_iter=20000))
     amap = solve(pair, SolverConfig(method="map", eps=1e-8, max_iter=20000))
     assert crm.status == STATUS_CONVERGED
@@ -192,14 +192,14 @@ def test_solve_map_slower_than_circumcentered_on_ellipsoids():
 def test_tight_ellipsoid_run_keeps_the_circumcenter_step():
     # the gap reaches about 1e-12 at k = 7; the step must stay a circumcenter
     # step there, since a P_X n step shrinks this gap by only about 0.4%
-    pair = gen_ellipsoids(100, 1.5, seed=4)
+    pair = generate("ellipsoids", 4, n=100, cond=1.5)
     trace = solve(pair, SolverConfig(schedule=Constant(0.5), eps=1e-12))
     assert trace.status == STATUS_CONVERGED
     assert trace.iterations <= 10
 
 
 def test_wedge_converges_immediately():
-    pair = gen_halfspace_wedge(10, 0.8, seed=1)
+    pair = generate("halfspace_wedge", 1, n=10, theta=0.8)
     trace = solve(pair, SolverConfig(eps=1e-12))
     assert trace.status == STATUS_CONVERGED
     assert trace.iterations <= 2
@@ -238,8 +238,14 @@ def test_rate_short_trace_raises():
         estimate_rate(np.ones(5))
 
 
+def test_rate_trace_mostly_below_the_noise_floor_raises():
+    merits = np.concatenate([0.5 ** np.arange(5), np.zeros(35)])
+    with pytest.raises(InsufficientTrace, match="noise floor"):
+        estimate_rate(merits)
+
+
 def test_trace_csv_roundtrip(tmp_path):
-    pair = gen_ellipsoids(20, 10.0, seed=7)
+    pair = generate("ellipsoids", 7, n=20, cond=10.0)
     trace = solve(pair, SolverConfig(eps=1e-10))
     out = tmp_path / "trace.csv"
     write_trace_csv(trace, out)
@@ -259,10 +265,13 @@ def _without_s_ref(pair):
 _trace_cases = pytest.mark.parametrize(
     "pair,cfg",
     [
-        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(eps=1e-10)),
-        (_without_s_ref(gen_ellipsoids(20, 10.0, seed=7)), SolverConfig(eps=1e-10)),
-        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(schedule=Constant(np.float64(0.3)))),
-        (gen_ellipsoids(20, 10.0, seed=7), SolverConfig(method="map", eps=1e-6)),
+        (generate("ellipsoids", 7, n=20, cond=10.0), SolverConfig(eps=1e-10)),
+        (_without_s_ref(generate("ellipsoids", 7, n=20, cond=10.0)), SolverConfig(eps=1e-10)),
+        (
+            generate("ellipsoids", 7, n=20, cond=10.0),
+            SolverConfig(schedule=Constant(np.float64(0.3))),
+        ),
+        (generate("ellipsoids", 7, n=20, cond=10.0), SolverConfig(method="map", eps=1e-6)),
     ],
     ids=["crm", "no_s_ref", "numpy_alpha", "map"],
 )
@@ -323,12 +332,13 @@ def test_trace_csv_of_a_run_that_failed_at_z0_is_its_header(tmp_path):
 def test_map_iteration_counts_on_ell_map_instances():
     """Pinned counts: a faster projection must leave the iterations alone."""
     cfg = SolverConfig(method="map", eps=1e-4, max_iter=200_000)
-    counts = [solve(gen_ellipsoids(100, 1.5, 1e-3, seed), cfg).iterations for seed in range(5)]
+    params = {"n": 100, "cond": 1.5, "tangency_gap": 1e-3}
+    counts = [solve(generate("ellipsoids", seed, **params), cfg).iterations for seed in range(5)]
     assert counts == [592, 598, 593, 678, 572]
 
 
 def test_trace_delta_reaches_eps():
-    pair = gen_ellipsoids(20, 10.0, seed=8)
+    pair = generate("ellipsoids", 8, n=20, cond=10.0)
     trace = solve(pair, SolverConfig(eps=1e-10))
     assert trace.status == STATUS_CONVERGED
     assert trace.final_delta <= 1e-10

@@ -14,7 +14,7 @@ order-3 step) meets the same check on none of these points.
 import numpy as np
 
 import cfeas.geometry
-from cfeas.problems import gen_ellipsoids
+from cfeas.problems import generate
 from cfeas.solver import SolverConfig, solve
 
 RESIDUAL_TOL = 1e-13  # the kernel's stopping residual |S(lam) - 1|
@@ -48,7 +48,8 @@ def test_order3_start_ends_most_projections_at_the_first_evaluation(monkeypatch)
 
     monkeypatch.setattr(cfeas.geometry, "project_ellipsoid_multiplier", collecting)
     for seed in range(3):
-        trace = solve(gen_ellipsoids(100, 1.5, 1e-3, seed), SolverConfig(method="map", eps=1e-4))
+        pair = generate("ellipsoids", seed, n=100, cond=1.5, tangency_gap=1e-3)
+        trace = solve(pair, SolverConfig(method="map", eps=1e-4))
         assert trace.status == "converged"
     outside = hits = 0
     for e, z in points:

@@ -1,14 +1,17 @@
-"""Print one digest line per solve of a fixed list, to check that a change
-leaves every trace bit-identical.
+"""Print one digest line per instance and per solve of a fixed list, to
+check that a change leaves every instance and every trace bit-identical.
 
     PYTHONPATH=<checkout>/src python3 tools/trace_digest.py > digests.txt
 
-Run it on two checkouts and `diff` the outputs.  Each line is the solve's
-name, status, iteration count and a sha256 over every record field except
-`wall_ns`, the failure text and the final point.  The solves cover the three
-generator families with every kernel shape, both schedules and MAP, iteration
-caps of 1, 2 and 7, failures at z0 and mid-run, and the instances of the
-`mc_psd` and `ell_map` benchmark workloads.
+Run it on two checkouts and `diff` the outputs.  An instance line is the
+instance's name and the sha256 of its JSON document, metadata included.  A
+solve line is the solve's name, status, iteration count and a sha256 over
+every record field except `wall_ns`, the failure text and the final point.
+The instances cover the three generator families, a parameter left to its
+default, integer-valued numbers, and the instances of the `mc_psd` and
+`ell_map` benchmark workloads.  The solves cover the three families with
+every kernel shape, both schedules and MAP, iteration caps of 1, 2 and 7,
+failures at z0 and mid-run, and the benchmark workloads' instances.
 """
 from __future__ import annotations
 
@@ -19,13 +22,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import json
 from contextlib import contextmanager
 from dataclasses import astuple
 
 import numpy as np
 
 from cfeas.geometry import ProblemPair
-from cfeas.problems import generate
+from cfeas.problems import generate, pair_to_json
 from cfeas.solver import Constant, SolverConfig, Vanishing, solve
 
 FAMILIES = {
@@ -66,11 +70,25 @@ def failing_eigh(call):
         np.linalg.eigh = eigh
 
 
-def solves():
-    """(name, pair, config, eigh call to fail or None), in a fixed order."""
+def instances():
+    """(name, pair) of every instance, in a fixed order."""
+    for family, (params, _) in FAMILIES.items():
+        for seed in range(3):
+            yield f"{family}-{seed}", generate(family, seed, **params)
+    for workload, (family, params, seeds, *_) in WORKLOADS.items():
+        for seed in seeds:
+            yield f"{workload}-{seed}", generate(family, seed, **params)
+    yield "ellipsoids-default-gap", generate("ellipsoids", 0, n=6, cond=4.0)
+    yield "ellipsoids-int-cond", generate("ellipsoids", 1, n=5, cond=20)
+    yield "matrix_completion-int-obs", generate("matrix_completion", 1, n=6, rank=2, obs_frac=1)
+
+
+def solves(pairs):
+    """(name, pair, config, eigh call to fail or None), in a fixed order, over
+    the instances `pairs` names."""
     for family, (params, eps) in FAMILIES.items():
         for seed in range(3):
-            pair = generate(family, seed, **params)
+            pair = pairs[f"{family}-{seed}"]
             for options in METHODS:
                 name = f"{family}-{seed}-" + (
                     f"{options['kernel']}-{type(options['schedule']).__name__}"
@@ -79,13 +97,13 @@ def solves():
                 for max_iter in (1, 2, 7, 2000):
                     cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
                     yield f"{name}-cap{max_iter}", pair, cfg, None
-    for workload, (family, params, seeds, options, eps, max_iter) in WORKLOADS.items():
+    for workload, (_, _, seeds, options, eps, max_iter) in WORKLOADS.items():
         for seed in seeds:
             cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
-            yield f"{workload}-{seed}", generate(family, seed, **params), cfg, None
-    far = generate("ellipsoids", 0, n=6, cond=4.0)
+            yield f"{workload}-{seed}", pairs[f"{workload}-{seed}"], cfg, None
+    far = pairs["ellipsoids-default-gap"]
     far = ProblemPair(far.X, far.Y, np.full(6, 1e160))  # overflows the ellipsoid projection
-    mc = generate("matrix_completion", 2, **FAMILIES["matrix_completion"][0])
+    mc = pairs["matrix_completion-2"]
     for method in ("crm", "map"):
         yield f"far-z0-{method}", far, SolverConfig(method=method), None
         # crm: z0's gap is eigh call 1 and each XY step makes two more;
@@ -104,7 +122,10 @@ def digest(trace) -> str:
 
 
 def main():
-    for name, pair, cfg, fail_at in solves():
+    pairs = dict(instances())
+    for name, pair in pairs.items():
+        print(name, hashlib.sha256(json.dumps(pair_to_json(pair)).encode()).hexdigest())
+    for name, pair, cfg, fail_at in solves(pairs):
         if fail_at is None:
             trace = solve(pair, cfg)
         else:
