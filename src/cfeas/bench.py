@@ -117,7 +117,7 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
             results = list(pool.map(lambda c: _run_one(config, *c), cells))
     else:
         results = [_run_one(config, m, s) for m, s in cells]
-    # deterministic reduction order regardless of completion order
+    # plotdata.csv and report.json list the runs by (method name, seed), not in config order
     results.sort(key=lambda r: (r.method, r.seed))
 
     traces = {f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None}

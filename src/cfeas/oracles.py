@@ -1,23 +1,23 @@
-"""Independent brute-force oracles, and the `oracle-check` suites that
+"""Independent reference oracles, and the `oracle-check` suites that
 compare the library with them.
 
 Each oracle deliberately avoids the code path it cross-checks: the ellipsoid
 oracle bisects the multiplier instead of running Newton, the PSD oracle
-minimizes a factored objective instead of clamping eigenvalues, and the
-two-halfspace oracle enumerates active sets instead of circumcentering.  The
-suites in SUITES call the library's projections, circumcenter and `pcrm` and
-compare them with these oracles, which themselves stay independent of it.
+takes the symmetric polar factor from one SVD instead of clamping the
+eigenvalues of an eigh, and the two-halfspace oracle enumerates active sets
+instead of circumcentering.  The suites in SUITES call the library's
+projections, circumcenter and `pcrm` and compare them with these oracles,
+which themselves stay independent of it.
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import sampling
 from .circumcentering import circumcenter
-from .errors import CfeasError, InvalidSpec
+from .errors import InvalidSpec
 from .geometry import Ball, Ellipsoid, Halfspace, ProblemPair, as_point, project, project_psd
 from .operators import centralize, pcrm
 
@@ -54,51 +54,19 @@ def ellipsoid_bisection(
     return e.center + u / (1.0 + lam * d), lam
 
 
-def psd_nearest_descent(m: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Frobenius-nearest PSD matrix via gradient descent on a factored form.
+def psd_nearest(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest PSD matrix to S = sym(m), in Higham's closed form.
 
-    Minimizes f(L) = 0.25 ||L L^T - sym(M)||_F^2 over full n x n factors L
-    (no spurious local minima for this objective), so the result is the PSD
-    projection without ever forming an eigendecomposition.  The only oracle
-    that needs scipy, so scipy loads here and not with the package.
+    The nearest PSD matrix is (S + H) / 2, where H = V diag(sigma) V^T is the
+    symmetric polar factor of S, read off one SVD S = U diag(sigma) V^T
+    (Higham, Linear Algebra Appl. 103, 1988).  No eigendecomposition and no
+    clamped eigenvalue, so it shares neither routine nor formula with
+    `project_psd`.
     """
-    try:
-        from scipy.optimize import minimize
-    except ImportError:
-        raise CfeasError(
-            "oracle-check projections needs scipy (install cfeas[test])"
-        ) from None
     m = np.asarray(m, dtype=float)
-    n = m.shape[0]
     sym = 0.5 * (m + m.T)
-    scale = max(1.0, float(np.linalg.norm(sym)))
-    rng = sampling.make_rng(seed)
-    l0 = math.sqrt(scale) * rng.standard_normal((n, n)) / math.sqrt(n)
-
-    def fun(flat):
-        l = flat.reshape(n, n)
-        resid = l @ l.T - sym
-        return 0.25 * float(np.sum(resid * resid)), (resid @ l).reshape(-1)
-
-    res = minimize(
-        fun,
-        l0.reshape(-1),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 100_000, "gtol": 1e-16, "ftol": 0.0},
-    )
-    # L-BFGS stalls once objective decrements fall below float64 resolution;
-    # finish with plain gradient descent in extended precision
-    l = res.x.reshape(n, n).astype(np.longdouble)
-    s_ld = sym.astype(np.longdouble)
-    eta = np.longdouble(0.05 / scale)
-    target = np.longdouble(1e-16) * scale * scale
-    for _ in range(50_000):
-        grad = (l @ l.T - s_ld) @ l
-        l = l - eta * grad
-        if np.linalg.norm(grad) <= target:
-            break
-    out = (l @ l.T).astype(float)
+    _, sigma, vt = np.linalg.svd(sym)
+    out = 0.5 * (sym + (vt.T * sigma) @ vt)
     return 0.5 * (out + out.T)
 
 
@@ -229,9 +197,9 @@ def _check_projections(seeds) -> list:
         m = rng.standard_normal((4, 4))
         m = 0.5 * (m + m.T)
         got = project_psd(m.reshape(-1), 4).reshape(4, 4)
-        want = psd_nearest_descent(m)
+        want = psd_nearest(m)
         err = float(np.linalg.norm(got - want))
-        if err > 1e-6 * (1.0 + np.linalg.norm(want)):
+        if err > 1e-8 * (1.0 + np.linalg.norm(want)):
             failures.append({"seed": seed, "case": "psd", "error": err})
         for variant in ("halfspace", "box", "ball"):
             set_ = sampling.random_set(variant, rng, dim=5)

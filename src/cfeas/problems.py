@@ -267,11 +267,11 @@ GENERATORS = {
 def generate(family: str, seed: int, **params) -> ProblemPair:
     """The seeded `family` instance, the one way to build one.  InvalidSpec
     for a parameter the family does not take or a missing one, then for a
-    seed outside [0, 2**128), then for a parameter out of the family's range.
-    The metadata lists the family, its parameters, a wedge's omega and the
-    seed."""
+    seed that is not an integer in [0, 2**128), then for a parameter out of
+    the family's range.  The metadata lists the family, its parameters, a
+    wedge's omega and the seed."""
     build, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
-    seed = read_seed(seed)
+    (seed,) = read_fields({"seed": seed}, f"{family} generator", (("seed", read_seed),))
     build.ranges(*args)
     pair = build(*args, make_rng(seed))
     names = [key for key, *_ in GENERATORS[family][1]]

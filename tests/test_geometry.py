@@ -20,7 +20,7 @@ from cfeas.geometry import (
     project_psd,
     stopping_gap,
 )
-from cfeas.oracles import ellipsoid_bisection, psd_nearest_descent
+from cfeas.oracles import ellipsoid_bisection, psd_nearest
 from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
 
 MEMBERSHIP_RTOL = 1e-12
@@ -169,11 +169,27 @@ def test_psd_projection_matches_descent_oracle():
         n = int(rng.integers(2, 8))
         m = rng.standard_normal((n, n))
         p = project_psd(m.reshape(-1), n).reshape(n, n)
-        q = psd_nearest_descent(m, seed=3)
+        q = psd_nearest(m)
         sym = 0.5 * (m + m.T)
-        # the oracle minimizes the same objective; distances must agree
+        # both are the nearest PSD matrix to sym; distances must agree
         assert np.linalg.norm(p - sym) <= np.linalg.norm(q - sym) + 1e-6
         assert np.linalg.norm(p - q) <= 1e-5 * (1.0 + np.linalg.norm(p))
+
+
+def test_psd_oracle_matches_a_known_spectrum():
+    # A = Q diag(lam) Q^T with |lam| spread over 1e-12..1e3, about 30% exact
+    # zeros and mixed signs; its nearest PSD matrix Q diag(max(lam, 0)) Q^T
+    # depends on neither project_psd nor the oracle
+    rng = make_rng(13)
+    for case in range(200):
+        n = int(rng.integers(2, 9))
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = 10.0 ** rng.uniform(-12.0, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        lam[rng.random(n) < 0.3] = 0.0
+        lam = [lam, np.abs(lam), -np.abs(lam)][case % 3]  # mixed, PSD, NSD
+        want = (q * np.maximum(lam, 0.0)) @ q.T
+        err = np.linalg.norm(psd_nearest((q * lam) @ q.T) - want)
+        assert err <= 1e-10 * (1.0 + np.linalg.norm(want)), (case, lam)
 
 
 def test_psd_projection_is_psd_and_fixes_psd_input():

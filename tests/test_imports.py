@@ -1,13 +1,14 @@
 """The package, its command line and its bench load without scipy,
-jsonschema or concurrent.futures, the bench without the oracles, no module
-of the package or of the tests imports a name it never uses, and the
-package's modules take its error classes from `cfeas.errors` alone.
+jsonschema or concurrent.futures, the oracle checks run without scipy, the
+bench loads without the oracles, no module of the package or of the tests
+imports a name it never uses, and the package's modules take its error
+classes from `cfeas.errors` alone.
 
-scipy serves one test oracle only; importing it with the package would cost
-more than the rest of the import together.  jsonschema only checks, in the
-tests, that the printed bench config schema agrees with the loader.
-concurrent.futures serves `bench --jobs` above 1 only, and loads logging,
-queue and traceback with it.
+No code of the package or of its tests uses scipy; the `test` extra keeps it
+for the benchmark harness, which records its version.  jsonschema only
+checks, in the tests, that the printed bench config schema agrees with the
+loader.  concurrent.futures serves `bench --jobs` above 1 only, and loads
+logging, queue and traceback with it.
 """
 import ast
 import os
@@ -18,11 +19,12 @@ TESTS = os.path.dirname(os.path.abspath(__file__))
 SRC = os.path.join(os.path.dirname(TESTS), "src")
 
 
-def _loaded_by(modules, names):
-    """Those of `names` that a fresh interpreter has loaded after importing `modules`."""
+def _loaded_by(modules, names, run=""):
+    """Those of `names` that a fresh interpreter has loaded after importing
+    `modules` and running the statement `run`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    code = f"import sys, {modules}; print([name for name in {names!r} if name in sys.modules])"
+    code = f"import sys, {modules}\n{run}\nprint([name for name in {names!r} if name in sys.modules])"
     done = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -32,6 +34,11 @@ def _loaded_by(modules, names):
 def test_import_path_leaves_scipy_out():
     names = ("scipy", "jsonschema", "concurrent.futures")
     assert _loaded_by("cfeas, cfeas.cli, cfeas.bench", names) == "[]"
+
+
+def test_oracle_checks_leave_scipy_out():
+    run = 'assert cfeas.oracles.oracle_check("projections", range(3))["ok"]'
+    assert _loaded_by("cfeas.oracles", ("scipy",), run) == "[]"
 
 
 def test_bench_leaves_the_oracles_out():

@@ -287,6 +287,12 @@ def test_generate_dispatch_and_unknown_family():
         generate("ellipsoids", 0, n=10, cond=5.0, theta=1.0)
     with pytest.raises(InvalidSpec, match="seed must lie in"):
         generate("ellipsoids", -1, n=10, cond=5.0)
+    for seed in (True, 1.5, "0", None):
+        with pytest.raises(InvalidSpec) as raised:
+            generate("ellipsoids", seed, n=10, cond=5.0)
+        assert str(raised.value) == (
+            f"ellipsoids generator field 'seed': expected a JSON integer, got {seed!r}"
+        )
 
 
 def test_json_roundtrip_all_families(tmp_path):
