@@ -20,8 +20,8 @@ class EigenFailure(CfeasError, RuntimeError):
 class DegenerateCircumcenter(CfeasError, RuntimeError):
     """Distinct collinear points admit no equidistant point in their span.
 
-    A centralized point n and its two reflections come this close to
-    collinear near tangency of the two sets; `pcrm` then returns P_X n.
+    Only the three-point oracle `oracles.circumcenter` raises it; the
+    solver's step takes its circumcenter in closed form and never does.
     """
 
 

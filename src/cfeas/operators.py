@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .circumcentering import circumcenter
-from .errors import DegenerateCircumcenter, InvalidKernel, NonconvergedProjection
+from .errors import InvalidKernel, NonconvergedProjection
 from .geometry import ProblemPair, as_point, project
 
 # Strictness is a cosine test, ip < -tol * ||dx|| ||dy||: the inner product
@@ -87,14 +86,35 @@ def _strictly_centralized(norm_dx: float, norm_dy: float, ip: float) -> bool:
     return ip < -STEP_COSINE_TOL * norm_dx * norm_dy
 
 
+def circumcenter(z, dx, dy, norm_dx: float, norm_dy: float):
+    """Circumcenter of z and its reflections z - 2 dx and z - 2 dy, or None
+    when dx and dy are exactly antiparallel.
+
+    It is the point of the hyperplanes {<dx, x - (z - dx)> = 0} and
+    {<dy, x - (z - dy)> = 0} nearest to z.  With unit normals u, v, w = u + v
+    and e = ||w||^2 / 2 = 1 + cos(u, v), free of the cancellation in
+    1 + <u, v>, it is c = z - [(|dx| + |dy|) w - e (|dy| u + |dx| v)] /
+    (e (2 - e)).  The norms must be positive.
+    """
+    u = dx / norm_dx
+    v = dy / norm_dy
+    w = u + v
+    e = 0.5 * float(w.dot(w))
+    if e == 0.0:
+        return None
+    return z - ((norm_dx + norm_dy) * w - e * (norm_dy * u + norm_dx * v)) / (e * (2.0 - e))
+
+
 def pcrm(pair: ProblemPair, z, px=None, py=None):
     """Circumcenter of z with its two reflections across X and Y.
 
     Returns (next point, <z - P_X z, z - P_Y z>).  At a strictly centralized
-    z the circumcenter is the projection onto the two supporting halfspaces
-    at P_X z and P_Y z.  Otherwise, and when the reflections are numerically
-    collinear with z (DegenerateCircumcenter), the result is P_X z.  A z in
-    Y takes the first fallback: its inner product is 0.
+    z the circumcenter is the projection onto the two supporting hyperplanes
+    at P_X z and P_Y z (Behling, Bello-Cruz, Iusem, Liu & Santos, Math.
+    Program. 2024), taken in closed form from the two normals.  A z that is
+    not strictly centralized, a point of Y included (its inner product is
+    0), and exactly antiparallel normals, where the hyperplanes are parallel,
+    give P_X z.
 
     `px`/`py`, when handed in, are not checked; a non-finite entry in either
     raises NonconvergedProjection through the inner product, where it would
@@ -113,13 +133,12 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
     if not math.isfinite(ip):
         raise NonconvergedProjection("projection produced non-finite entries")
     norm_dx = math.sqrt(float(dx.dot(dx)))
-    if not _strictly_centralized(norm_dx, math.sqrt(float(dy.dot(dy))), ip):
-        return px.copy(), ip
-    try:
-        # z + 2(P - z), not 2P - z: the two round differently and move traces
-        return circumcenter(z, z + 2.0 * -dx, z + 2.0 * -dy), ip
-    except DegenerateCircumcenter:
-        return px.copy(), ip
+    norm_dy = math.sqrt(float(dy.dot(dy)))
+    if _strictly_centralized(norm_dx, norm_dy, ip):
+        c = circumcenter(z, dx, dy, norm_dx, norm_dy)
+        if c is not None:
+            return c, ip
+    return px.copy(), ip
 
 
 def circumcentered_step(pair: ProblemPair, z, alpha: float, spec: KernelSpec, first=None):

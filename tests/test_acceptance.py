@@ -20,9 +20,7 @@ import time
 
 import numpy as np
 
-import cfeas
-from cfeas.circumcentering import circumcenter
-from cfeas.errors import InsufficientTrace
+from cfeas.errors import DegenerateCircumcenter, InsufficientTrace
 from cfeas.geometry import (
     Ball,
     ProblemPair,
@@ -42,6 +40,7 @@ from cfeas.operators import (
     pcrm,
 )
 from cfeas.oracles import (
+    circumcenter,
     circumcenter_residuals,
     ellipsoid_bisection,
     psd_nearest,
@@ -127,7 +126,7 @@ def test_criterion_2_circumcenter_correctness():
         z, v, w = (rng.standard_normal(dim) for _ in range(3))
         try:
             c = circumcenter(z, v, w)
-        except cfeas.circumcentering.DegenerateCircumcenter:
+        except DegenerateCircumcenter:
             continue
         produced += 1
         equi, span = circumcenter_residuals(z, v, w, c)

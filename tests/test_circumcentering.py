@@ -1,14 +1,14 @@
 """Circumcenter of a point and its two reflections, and the PCRM operator."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cfeas.circumcentering import circumcenter
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
 from cfeas.operators import centralize, pcrm
-from cfeas.oracles import circumcenter_residuals, supporting_halfspace_projection
+from cfeas.oracles import circumcenter, circumcenter_residuals, supporting_halfspace_projection
 from cfeas.sampling import make_rng
 from test_acceptance import is_strictly_centralized
 
@@ -143,7 +143,68 @@ def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
         out, _ = pcrm(pair, z, px=px, py=py)
         ref = supporting_halfspace_projection(pair, z, px=px, py=py)
         assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+        if is_strictly_centralized(pair, z):
+            # the closed form is the three-point circumcenter of z and its
+            # two reflections, which the oracle solves from their Gram system
+            ref = circumcenter(z, 2.0 * px - z, 2.0 * py - z)
+            assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
     assert strict >= 50
+
+
+def _exact_step(z, px, py):
+    """The point of the two supporting hyperplanes nearest to z, in exact
+    rational arithmetic on the floats z, P_X z and P_Y z: c = z - a dx - b dy
+    with [[dx.dx, dx.dy], [dx.dy, dy.dy]] (a, b) = (dx.dx, dy.dy)."""
+    z, px, py = ([Fraction(float(t)) for t in p] for p in (z, px, py))
+    dx = [s - t for s, t in zip(z, px)]
+    dy = [s - t for s, t in zip(z, py)]
+    gxx = sum(t * t for t in dx)
+    gyy = sum(t * t for t in dy)
+    gxy = sum(s * t for s, t in zip(dx, dy))
+    det = gxx * gyy - gxy * gxy
+    a = (gxx - gxy) * gyy / det
+    b = (gyy - gxy) * gxx / det
+    return [s - a * t - b * u for s, t, u in zip(z, dx, dy)]
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-6, 1e-7, 1e-8])
+def test_pcrm_is_accurate_at_nearly_antiparallel_normals(eps):
+    # two halfspaces through px and py whose normals meet at angle pi - eps:
+    # the step lands about 1/eps away, where a three-point Gram solve loses
+    # about 1/eps^2 of relative accuracy; the closed form loses about 1/eps
+    rng = make_rng(26)
+    worst = 0.0
+    for _ in range(100):
+        dim = int(rng.integers(2, 9))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, 2)))
+        a1 = q[:, 0]
+        a2 = -math.cos(eps) * q[:, 0] + math.sin(eps) * q[:, 1]
+        z = rng.standard_normal(dim)
+        b1 = float(a1 @ (z - rng.uniform(0.1, 2.0) * a1))
+        b2 = float(a2 @ (z - rng.uniform(0.1, 2.0) * a2))
+        pair = ProblemPair(X=Halfspace(a1, b1), Y=Halfspace(a2, b2), z0=z)
+        px, py = project(pair.X, z), project(pair.Y, z)
+        got, _ = pcrm(pair, z, px=px, py=py)
+        want = _exact_step(z, px, py)
+        err = math.sqrt(sum((Fraction(float(g)) - w) ** 2 for g, w in zip(got, want)))
+        step = math.sqrt(sum((w - Fraction(float(t))) ** 2 for w, t in zip(want, z)))
+        worst = max(worst, err / (1.0 + step))
+    assert worst <= 1e-14 / eps
+
+
+def test_pcrm_takes_px_at_exactly_antiparallel_normals():
+    # X = {x1 <= 0} and Y = {x1 >= 1} are disjoint and parallel: z between
+    # them is strictly centralized, but the supporting hyperplanes never meet
+    pair = ProblemPair(
+        X=Halfspace(np.array([1.0, 0.0, 0.0]), 0.0),
+        Y=Halfspace(np.array([-1.0, 0.0, 0.0]), -1.0),
+        z0=np.zeros(3),
+    )
+    for z in (np.array([0.5, 0.3, -2.0]), np.array([0.25, 0.0, 7.0])):
+        out, ip = pcrm(pair, z)
+        assert ip < 0.0 and is_strictly_centralized(pair, z)
+        assert np.isfinite(out).all()
+        assert np.array_equal(out, project(pair.X, z))
 
 
 def _unit(rng, dim):

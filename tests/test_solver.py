@@ -12,7 +12,8 @@ from cfeas.bench import write_trace_csv
 from cfeas.errors import InsufficientTrace, InvalidKernel, InvalidSchedule, InvalidSpec
 from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
-from cfeas.problems import generate
+from cfeas.problems import _ellipsoids, generate
+from cfeas.sampling import make_rng
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
     CLASS_LINEAR,
@@ -196,6 +197,19 @@ def test_tight_ellipsoid_run_keeps_the_circumcenter_step():
     trace = solve(pair, SolverConfig(schedule=Constant(0.5), eps=1e-12))
     assert trace.status == STATUS_CONVERGED
     assert trace.iterations <= 10
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize(
+    "schedule", [Constant(0.25), Constant(0.5), Constant(0.75), Vanishing()], ids=repr
+)
+def test_tangent_ellipsoids_converge_under_every_schedule(schedule, seed):
+    # margin 0: the ellipsoids touch only at the origin, so near the solution
+    # the two normals are almost antiparallel; the step must stay accurate
+    # there instead of falling back to P_X n, which stalls the gap near 1e-12
+    pair = _ellipsoids(100, 20.0, 0.0, make_rng(seed))
+    cfg = SolverConfig(kernel="XY", schedule=schedule, eps=1e-12, max_iter=2000)
+    assert solve(pair, cfg).status == STATUS_CONVERGED
 
 
 def test_wedge_converges_immediately():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfeas.circumcentering import circumcenter
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.operators import KernelSpec, circumcentered_step
+from cfeas.oracles import circumcenter
 from cfeas.sampling import make_rng
 from test_set_properties import instances
 

@@ -8,10 +8,12 @@ instance's name and the sha256 of its JSON document, metadata included.  A
 solve line is the solve's name, status, iteration count and a sha256 over
 every record field except `wall_ns`, the failure text and the final point.
 The instances cover the three generator families, a parameter left to its
-default, integer-valued numbers, and the instances of the `mc_psd` and
-`ell_map` benchmark workloads.  The solves cover the three families with
-every kernel shape, both schedules and MAP, iteration caps of 1, 2 and 7,
-failures at z0 and mid-run, and the benchmark workloads' instances.
+default, integer-valued numbers, the instances of the `mc_psd` and
+`ell_map` benchmark workloads, and two tangent ellipsoid pairs (margin 0,
+which only the private builder makes).  The solves cover the three families
+with every kernel shape, both schedules and MAP, iteration caps of 1, 2 and
+7, failures at z0 and mid-run, the benchmark workloads' instances, and the
+tangent pairs, where normals near antiparallel test the step's accuracy.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from dataclasses import astuple
 import numpy as np
 
 from cfeas.geometry import ProblemPair
-from cfeas.problems import generate, pair_to_json
+from cfeas.problems import _ellipsoids, generate, pair_to_json
+from cfeas.sampling import make_rng
 from cfeas.solver import Constant, SolverConfig, Vanishing, solve
 
 FAMILIES = {
@@ -81,6 +84,8 @@ def instances():
     yield "ellipsoids-default-gap", generate("ellipsoids", 0, n=6, cond=4.0)
     yield "ellipsoids-int-cond", generate("ellipsoids", 1, n=5, cond=20)
     yield "matrix_completion-int-obs", generate("matrix_completion", 1, n=6, rank=2, obs_frac=1)
+    for seed in range(2):
+        yield f"tangent-{seed}", _ellipsoids(100, 20.0, 0.0, make_rng(seed))
 
 
 def solves(pairs):
@@ -101,6 +106,11 @@ def solves(pairs):
         for seed in seeds:
             cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
             yield f"{workload}-{seed}", pairs[f"{workload}-{seed}"], cfg, None
+    for seed in range(2):
+        for schedule in (Constant(0.5), Vanishing()):
+            cfg = SolverConfig(kernel="XY", schedule=schedule, eps=1e-12, max_iter=2000)
+            name = f"tangent-{seed}-XY-{type(schedule).__name__}"
+            yield name, pairs[f"tangent-{seed}"], cfg, None
     far = pairs["ellipsoids-default-gap"]
     far = ProblemPair(far.X, far.Y, np.full(6, 1e160))  # overflows the ellipsoid projection
     mc = pairs["matrix_completion-2"]
