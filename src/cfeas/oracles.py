@@ -7,8 +7,10 @@ takes the symmetric polar factor from one SVD instead of clamping the
 eigenvalues of an eigh, the two-halfspace oracle enumerates active sets, and
 the three-point circumcenter solves a Gram system instead of taking the
 step's closed form from two normals.  The suites in SUITES call the
-library's projections and `pcrm` and compare them with these oracles, which
-themselves stay independent of it.
+library's projections, the step's circumcenter and `pcrm`, and compare them
+with these oracles, which themselves stay independent of it, and with the
+defining properties: idempotence, the characteristic inequality and
+equidistance.
 """
 from __future__ import annotations
 
@@ -17,15 +19,19 @@ from typing import Optional
 
 import numpy as np
 
-from . import sampling
+from . import operators
 from .errors import DegenerateCircumcenter, InvalidSpec
 from .geometry import Ball, Ellipsoid, Halfspace, ProblemPair, as_point, project, project_psd
-from .operators import centralize, pcrm
+from .problems import VARIANTS, make_rng, random_member, random_point, random_set
+
+# bisection stops once the secular residual is this small
+BISECTION_RESIDUAL_TOL = 1e-12
+# a two-halfspace candidate is feasible when each violation <a, x> - b is at
+# most this times (1 + ||z||) (1 + ||a||)
+HALFSPACE_FEASIBILITY_RTOL = 1e-10
 
 
-def ellipsoid_bisection(
-    e: Ellipsoid, z, residual_tol: float = 1e-12, lam_max: float = 1e6
-) -> tuple[np.ndarray, float]:
+def ellipsoid_bisection(e: Ellipsoid, z, lam_max: float = 1e6) -> tuple[np.ndarray, float]:
     """Projection onto an ellipsoid by pure bisection of the multiplier."""
     z = as_point(z)
     d = e.diag
@@ -44,7 +50,7 @@ def ellipsoid_bisection(
     for _ in range(400):
         mid = 0.5 * (lo + hi)
         r = phi(mid)
-        if abs(r) <= residual_tol:
+        if abs(r) <= BISECTION_RESIDUAL_TOL:
             lo = hi = mid
             break
         if r > 0.0:
@@ -71,9 +77,7 @@ def psd_nearest(m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def project_two_halfspaces(
-    z, a1, b1: float, a2, b2: float, tol: float = 1e-10
-) -> np.ndarray:
+def project_two_halfspaces(z, a1, b1: float, a2, b2: float) -> np.ndarray:
     """Exact projection onto {x : <a1,x> <= b1} ∩ {x : <a2,x> <= b2}.
 
     Active-set enumeration: try the point itself, each single-constraint
@@ -82,7 +86,7 @@ def project_two_halfspaces(
     z = as_point(z)
     a1 = as_point(a1)
     a2 = as_point(a2)
-    scale = tol * (1.0 + float(np.linalg.norm(z)))
+    scale = HALFSPACE_FEASIBILITY_RTOL * (1.0 + float(np.linalg.norm(z)))
 
     def feasible(x):
         return (
@@ -122,21 +126,23 @@ def supporting_halfspace_projection(
 
     The supporting halfspace of X at P_X z has normal z - P_X z and passes
     through P_X z (similarly for Y).  A vanishing normal means z lies in the
-    set and the constraint is vacuous.
+    set and the constraint is vacuous.  The normals are scaled to unit
+    length so that the feasibility test of `project_two_halfspaces` bounds
+    a distance: with normals as short as z's distances to the sets, a z
+    within about 1e-5 of both would pass it and come back unprojected.
     """
     z = as_point(z)
     if px is None:
         px = project(pair.X, z)
     if py is None:
         py = project(pair.Y, z)
-    n1 = z - px
-    n2 = z - py
     scale = 1e-12 * (1.0 + float(np.linalg.norm(z)))
     active = []
-    if float(np.linalg.norm(n1)) > scale:
-        active.append((n1, float(n1 @ px)))
-    if float(np.linalg.norm(n2)) > scale:
-        active.append((n2, float(n2 @ py)))
+    for p in (px, py):
+        normal = z - p
+        norm = float(np.linalg.norm(normal))
+        if norm > scale:
+            active.append((normal / norm, float(normal @ p) / norm))
     if not active:
         return z.copy()
     if len(active) == 1:
@@ -225,9 +231,9 @@ def oracle_check(suite: str, seeds=range(10)) -> dict:
 def _check_projections(seeds) -> list:
     failures = []
     for seed in seeds:
-        rng = sampling.make_rng(1000 + seed)
-        ell = sampling.random_set("ellipsoid", rng, dim=6)
-        z = sampling.random_point(6, rng)
+        rng = make_rng(1000 + seed)
+        ell = random_set("ellipsoid", rng, dim=6)
+        z = random_point(6, rng)
         got = project(ell, z)
         want, _ = ellipsoid_bisection(ell, z)
         err = float(np.linalg.norm(got - want))
@@ -241,14 +247,14 @@ def _check_projections(seeds) -> list:
         if err > 1e-8 * (1.0 + np.linalg.norm(want)):
             failures.append({"seed": seed, "case": "psd", "error": err})
         for variant in ("halfspace", "box", "ball"):
-            set_ = sampling.random_set(variant, rng, dim=5)
-            z = sampling.random_point(5, rng)
+            set_ = random_set(variant, rng, dim=5)
+            z = random_point(5, rng)
             p = project(set_, z)
             p2 = project(set_, p)
             err = float(np.linalg.norm(p - p2))
             if err > 1e-12:
                 failures.append({"seed": seed, "case": f"{variant}-idempotence", "error": err})
-            x = sampling.random_member(set_, rng)
+            x = random_member(set_, rng)
             ip = float((z - p) @ (x - p))
             if ip > 1e-9 * (1.0 + float(z @ z)):
                 failures.append({"seed": seed, "case": f"{variant}-characteristic", "error": ip})
@@ -258,31 +264,32 @@ def _check_projections(seeds) -> list:
 def _check_circumcenter(seeds) -> list:
     failures = []
     for seed in seeds:
-        rng = sampling.make_rng(2000 + seed)
+        rng = make_rng(2000 + seed)
         dim = int(rng.integers(2, 8))
-        z = sampling.random_point(dim, rng)
-        v = sampling.random_point(dim, rng)
-        w = sampling.random_point(dim, rng)
-        c = circumcenter(z, v, w)
-        equi, span = circumcenter_residuals(z, v, w, c)
-        scale = 1.0 + float(np.linalg.norm(z))
-        if equi > 1e-9 * scale or span > 1e-9 * scale:
-            failures.append(
-                {"seed": seed, "case": "equidistance", "error": max(equi, span)}
-            )
-        # strictly centralized input via the centralizer on an overlapping
-        # ball pair (center distance < 2 keeps the intersection nonempty)
+        # the step's circumcenter against z and its reflections z - 2 dx, z - 2 dy
+        z = random_point(dim, rng)
+        dx = random_point(dim, rng)
+        dy = random_point(dim, rng)
+        c = operators.circumcenter(z, dx, dy, float(np.linalg.norm(dx)), float(np.linalg.norm(dy)))
+        error = max(circumcenter_residuals(z, z - 2.0 * dx, z - 2.0 * dy, c))
+        if error > 1e-9 * (1.0 + float(np.linalg.norm(z))):
+            failures.append({"seed": seed, "case": "equidistance", "error": error})
+        # a strictly centralized point via the centralizer on a ball pair: unit
+        # balls whose centers lie sqrt(2) to 2 apart intersect, and near the rim
+        # of the intersection their outward normals meet at an obtuse angle.
+        # The point is redrawn until they do, well clear of the step's
+        # strictness test, so that `pcrm` takes its circumcenter.
         c1 = rng.standard_normal(dim)
         offset = rng.standard_normal(dim)
-        offset *= rng.uniform(0.0, 1.5) / np.linalg.norm(offset)
-        pair = ProblemPair(
-            X=Ball(c1, 1.0),
-            Y=Ball(c1 + offset, 1.0),
-            z0=np.zeros(dim),
-        )
-        y = project(pair.Y, sampling.random_point(dim, rng))
-        n, _ = centralize(pair, y, float(rng.uniform(0.2, 0.8)))
-        got, _ = pcrm(pair, n)
+        offset *= rng.uniform(1.5, 1.95) / np.linalg.norm(offset)
+        pair = ProblemPair(X=Ball(c1, 1.0), Y=Ball(c1 + offset, 1.0), z0=np.zeros(dim))
+        while True:
+            y = project(pair.Y, c1 + 0.5 * offset + random_point(dim, rng, scale=1.0))
+            n, _ = operators.centralize(pair, y, float(rng.uniform(0.2, 0.8)))
+            nx, ny = n - project(pair.X, n), n - project(pair.Y, n)
+            if float(nx @ ny) < -1e-6 * float(np.linalg.norm(nx) * np.linalg.norm(ny)):
+                break
+        got, _ = operators.pcrm(pair, n)
         want = supporting_halfspace_projection(pair, n)
         err = float(np.linalg.norm(got - want))
         if err > 1e-8 * (1.0 + np.linalg.norm(want)):
@@ -293,16 +300,16 @@ def _check_circumcenter(seeds) -> list:
 def _check_invariants(seeds) -> list:
     failures = []
     for seed in seeds:
-        rng = sampling.make_rng(3000 + seed)
-        for variant in sampling.VARIANTS:
-            set_ = sampling.random_set(variant, rng)
+        rng = make_rng(3000 + seed)
+        for variant in VARIANTS:
+            set_ = random_set(variant, rng)
             dim = set_.dim
-            z = sampling.random_point(dim, rng)
-            w = sampling.random_point(dim, rng)
+            z = random_point(dim, rng)
+            w = random_point(dim, rng)
             pz, pw = project(set_, z), project(set_, w)
             if float(np.linalg.norm(pz - pw)) > float(np.linalg.norm(z - w)) + 1e-9:
                 failures.append({"seed": seed, "case": f"{variant}-nonexpansive"})
-            x = sampling.random_member(set_, rng)
+            x = random_member(set_, rng)
             lhs = float(np.linalg.norm(z - x)) ** 2
             rhs = (
                 float(np.linalg.norm(z - pz)) ** 2

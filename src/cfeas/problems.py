@@ -1,10 +1,12 @@
-"""Seeded generators for benchmark instances, and the one reader of every
-input document: instances, generator parameters, schedules and bench configs.
+"""Seeded generators for benchmark instances and for the random sets, points
+and set members of the oracle and property checks, and the one reader of
+every input document: instances, generator parameters, schedules and bench
+configs.
 
 All randomness flows through a counter-based Philox bit generator keyed by the
-instance seed, so regenerating with the same parameters is bit-identical and
-reproducible across platforms (integers map to floats via numpy's standard
-53-bit mantissa fill).
+seed (`make_rng`), so regenerating with the same parameters is bit-identical
+and reproducible across platforms (integers map to floats via numpy's
+standard 53-bit mantissa fill).
 """
 from __future__ import annotations
 
@@ -26,8 +28,11 @@ from .geometry import (
     SetDescriptor,
 )
 from .operators import KernelSpec
-from .sampling import make_rng
 from .solver import METHODS, Constant, SolverConfig, Table, Vanishing
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
 def _matrix_completion_ranges(n: int, rank: int, obs_frac: float) -> None:
@@ -293,6 +298,79 @@ _SET_VARIANTS = {
         (("order", read_int), ("rows", _indices), ("cols", _indices), ("values", _numbers)),
     ),
 }
+
+# the set variants, in the order the checks draw them
+VARIANTS = tuple(_SET_VARIANTS)
+
+
+def random_point(dim: int, rng: np.random.Generator, scale: float = 3.0) -> np.ndarray:
+    return scale * rng.standard_normal(dim)
+
+
+def random_set(variant: str, rng: np.random.Generator, dim: int = 5, order: int = 4):
+    if variant == "halfspace":
+        a = rng.standard_normal(dim)
+        a /= np.linalg.norm(a)
+        return Halfspace(a, float(rng.normal()))
+    if variant == "box":
+        mid = rng.standard_normal(dim)
+        half = np.abs(rng.standard_normal(dim)) + 0.1
+        return Box(mid - half, mid + half)
+    if variant == "ball":
+        return Ball(rng.standard_normal(dim), float(rng.uniform(0.5, 2.0)))
+    if variant == "ellipsoid":
+        d = np.exp(rng.uniform(np.log(0.25), np.log(4.0), dim))
+        return Ellipsoid(rng.standard_normal(dim), d)
+    if variant == "psd_cone":
+        return PsdCone(order)
+    if variant == "entry_mask":
+        m = rng.standard_normal((order, order))
+        m = 0.5 * (m + m.T)
+        chosen = set()
+        n_pick = max(1, order * order // 3)
+        for flat in rng.permutation(order * order)[:n_pick]:
+            i, j = divmod(int(flat), order)
+            chosen.add((i, j))
+            chosen.add((j, i))
+        idx = sorted(chosen)
+        rows = np.array([i for i, _ in idx])
+        cols = np.array([j for _, j in idx])
+        return EntryMask(order, rows, cols, m[rows, cols])
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def random_member(set_: SetDescriptor, rng: np.random.Generator) -> np.ndarray:
+    """A point of the set, built directly from the set's definition and not
+    by the projection under test, so membership-dependent checks stay
+    independent of it."""
+    if isinstance(set_, Halfspace):
+        x = rng.standard_normal(set_.dim)
+        a = set_.normal
+        slack = float(rng.exponential())
+        return x - ((float(a @ x) - set_.offset + slack) / float(a @ a)) * a
+    if isinstance(set_, Box):
+        u = rng.uniform(size=set_.dim)
+        return set_.lo + u * (set_.hi - set_.lo)
+    if isinstance(set_, Ball):
+        u = rng.standard_normal(set_.dim)
+        u /= np.linalg.norm(u)
+        radius = set_.radius * rng.uniform() ** (1.0 / set_.dim)
+        return set_.center + radius * u
+    if isinstance(set_, Ellipsoid):
+        u = rng.standard_normal(set_.dim)
+        u /= np.linalg.norm(u)
+        r = rng.uniform() ** (1.0 / set_.dim)
+        return set_.center + r * u / np.sqrt(set_.diag)
+    if isinstance(set_, PsdCone):
+        b = rng.standard_normal((set_.order, set_.order))
+        return (b @ b.T).reshape(-1)
+    if isinstance(set_, EntryMask):
+        m = rng.standard_normal((set_.order, set_.order))
+        m = 0.5 * (m + m.T)
+        m = m.reshape(-1)
+        m[set_._flat] = set_.values
+        return m
+    raise TypeError(f"unsupported descriptor {type(set_).__name__}")
 
 
 def _set_to_json(set_: SetDescriptor) -> dict:

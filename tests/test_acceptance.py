@@ -47,8 +47,7 @@ from cfeas.oracles import (
     supporting_halfspace_projection,
     wedge_distance_to_intersection,
 )
-from cfeas.problems import generate
-from cfeas.sampling import make_rng, random_point, random_set
+from cfeas.problems import generate, make_rng, random_point, random_set
 from cfeas.solver import (
     CLASS_SUPERLINEAR,
     STATUS_CONVERGED,

@@ -5,11 +5,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cfeas.operators
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
 from cfeas.operators import centralize, pcrm
-from cfeas.oracles import circumcenter, circumcenter_residuals, supporting_halfspace_projection
-from cfeas.sampling import make_rng
+from cfeas.oracles import (
+    circumcenter,
+    circumcenter_residuals,
+    oracle_check,
+    supporting_halfspace_projection,
+)
+from cfeas.problems import make_rng
 from test_acceptance import is_strictly_centralized
 
 
@@ -210,3 +216,26 @@ def test_pcrm_takes_px_at_exactly_antiparallel_normals():
 def _unit(rng, dim):
     u = rng.standard_normal(dim)
     return u / np.linalg.norm(u)
+
+
+def test_circumcenter_suite_reaches_the_step_on_every_seed(monkeypatch):
+    # the equidistance case calls the step's circumcenter, and the ball-pair
+    # case hands `pcrm` a strictly centralized point, which calls it again
+    calls = []
+    inner = cfeas.operators.circumcenter
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(cfeas.operators, "circumcenter", counted)
+    assert oracle_check("circumcenter", range(20))["ok"]
+    assert len(calls) == 40
+
+
+def test_circumcenter_suite_catches_a_shifted_step(monkeypatch):
+    inner = cfeas.operators.circumcenter
+    monkeypatch.setattr(cfeas.operators, "circumcenter", lambda *args: inner(*args) + 1e-3)
+    report = oracle_check("circumcenter", range(20))
+    assert not report["ok"]
+    assert {f["case"] for f in report["failures"]} == {"equidistance", "pcrm-vs-qp"}

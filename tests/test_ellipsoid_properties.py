@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from cfeas.geometry import Ellipsoid, project, project_ellipsoid_multiplier
 from cfeas.oracles import ellipsoid_bisection
-from cfeas.sampling import make_rng, random_member
+from cfeas.problems import make_rng, random_member
 
 PROPERTY_SETTINGS = settings(max_examples=150)
 

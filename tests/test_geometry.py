@@ -21,7 +21,7 @@ from cfeas.geometry import (
     stopping_gap,
 )
 from cfeas.oracles import ellipsoid_bisection, psd_nearest
-from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
+from cfeas.problems import VARIANTS, make_rng, random_member, random_point, random_set
 
 MEMBERSHIP_RTOL = 1e-12
 

@@ -12,7 +12,7 @@ from cfeas.operators import (
     circumcentered_step,
     pcrm,
 )
-from cfeas.sampling import make_rng
+from cfeas.problems import make_rng
 from test_acceptance import is_strictly_centralized
 
 MEMBERSHIP_RTOL = 1e-12

@@ -12,11 +12,11 @@ from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, distance, stopping_gap
 from cfeas.problems import (
     generate,
     load_pair,
+    make_rng,
     pair_from_json,
     pair_to_json,
     save_pair,
 )
-from cfeas.sampling import make_rng
 
 MEMBERSHIP_RTOL = 1e-12
 

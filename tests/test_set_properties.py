@@ -1,10 +1,11 @@
 """Property tests for every set variant's projection and the instance JSON.
 
-Sets come from `sampling.random_set` in dimensions 1-30 (matrix orders 1-8),
-points at scales 1e-2 to 1e3, and members from `sampling.random_member`, which
+Sets come from `problems.random_set` in dimensions 1-30 (matrix orders 1-8),
+points at scales 1e-2 to 1e3, and members from `problems.random_member`, which
 builds them from the set's definition and not through the projection.
 Instances come from `generate` for the three families, with parameters drawn
-across their valid ranges.  Arrays come from a seeded generator so that one
+across their valid ranges, and from two `random_set` sets of each variant.
+Arrays come from a seeded generator so that one
 example stays cheap; hypothesis chooses the seeds and the sizes.
 """
 import dataclasses
@@ -16,9 +17,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfeas.geometry import EntryMask, project
-from cfeas.problems import generate, pair_from_json, pair_to_json
-from cfeas.sampling import VARIANTS, make_rng, random_member, random_point, random_set
+from cfeas.geometry import EntryMask, ProblemPair, project
+from cfeas.problems import (
+    VARIANTS,
+    generate,
+    make_rng,
+    pair_from_json,
+    pair_to_json,
+    random_member,
+    random_point,
+    random_set,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60)
 
@@ -89,6 +98,21 @@ def test_instance_json_round_trip(pair):
     assert np.array_equal(pair.z0, back.z0)
     assert np.array_equal(pair.s_ref, back.s_ref)
     assert back.metadata == pair.metadata
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("seed", range(3))
+def test_set_variant_json_round_trip(variant, seed):
+    rng = make_rng(seed)
+    x, y = (random_set(variant, rng, dim=5, order=3) for _ in range(2))
+    pair = ProblemPair(x, y, random_point(x.dim, rng))
+    doc = pair_to_json(pair)
+    assert doc["X"]["variant"] == doc["Y"]["variant"] == variant
+    back = pair_from_json(json.loads(json.dumps(doc)))
+    _assert_same_set(pair.X, back.X)
+    _assert_same_set(pair.Y, back.Y)
+    assert np.array_equal(pair.z0, back.z0)
+    assert back.s_ref is None
 
 
 def _entry_mask_loop_check(order, rows, cols, values):

@@ -12,8 +12,7 @@ from cfeas.bench import write_trace_csv
 from cfeas.errors import InsufficientTrace, InvalidKernel, InvalidSchedule, InvalidSpec
 from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
-from cfeas.problems import _ellipsoids, generate
-from cfeas.sampling import make_rng
+from cfeas.problems import _ellipsoids, generate, make_rng
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
     CLASS_LINEAR,

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from cfeas.errors import DegenerateCircumcenter
 from cfeas.operators import KernelSpec, circumcentered_step
 from cfeas.oracles import circumcenter
-from cfeas.sampling import make_rng
+from cfeas.problems import make_rng
 from test_set_properties import instances
 
 # sin^2 of the triangle's angle at z no smaller than this: far from collinear

@@ -8,12 +8,13 @@ instance's name and the sha256 of its JSON document, metadata included.  A
 solve line is the solve's name, status, iteration count and a sha256 over
 every record field except `wall_ns`, the failure text and the final point.
 The instances cover the three generator families, a parameter left to its
-default, integer-valued numbers, the instances of the `mc_psd` and
-`ell_map` benchmark workloads, and two tangent ellipsoid pairs (margin 0,
-which only the private builder makes).  The solves cover the three families
-with every kernel shape, both schedules and MAP, iteration caps of 1, 2 and
-7, failures at z0 and mid-run, the benchmark workloads' instances, and the
-tangent pairs, where normals near antiparallel test the step's accuracy.
+default, integer-valued numbers, the instances of run seed 0 of each
+benchmark workload, read from `perfbench/workloads.py`, and two tangent
+ellipsoid pairs (margin 0, which only the private builder makes).  The
+solves cover the three families with every kernel shape, both schedules and
+MAP, iteration caps of 1, 2 and 7, failures at z0 and mid-run, the benchmark
+workloads' instances with their methods, and the tangent pairs, where
+normals near antiparallel test the step's accuracy.
 """
 from __future__ import annotations
 
@@ -24,15 +25,17 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import importlib.util
 import json
 from contextlib import contextmanager
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 
+from cfeas.bench import ExperimentConfig
 from cfeas.geometry import ProblemPair
-from cfeas.problems import _ellipsoids, generate, pair_to_json
-from cfeas.sampling import make_rng
+from cfeas.problems import _ellipsoids, generate, make_rng, pair_to_json
 from cfeas.solver import Constant, SolverConfig, Vanishing, solve
 
 FAMILIES = {
@@ -45,14 +48,23 @@ METHODS = [
     for kernel in ("Y", "XY", "YXY", "XYXY")
     for schedule in (Constant(0.5), Vanishing())
 ] + [{"method": "map"}]
-# (family, params, seeds, method, eps, max_iter) of the benchmark workloads,
-# with the instance seeds of their run seed 0
-WORKLOADS = {
-    "mc_psd": ("matrix_completion", {"n": 80, "rank": 3, "obs_frac": 0.6}, range(16),
-               {"kernel": "XY"}, 1.0, 5000),
-    "ell_map": ("ellipsoids", {"n": 100, "cond": 1.5, "tangency_gap": 1e-3}, range(5),
-                {"method": "map"}, 1e-4, 200_000),
-}
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def benchmark_workloads() -> dict:
+    """workload -> (family, params, instance seeds, solver config) of run
+    seed 0 of each benchmark workload, as the benchmark's loader reads them."""
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", BENCHMARK_WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    workloads = {}
+    for name in module.WORKLOADS:
+        config = ExperimentConfig.from_json(module.experiment_doc(name, 0))
+        params = dict(config.generator)
+        family = params.pop("family")
+        (method,) = config.methods
+        workloads[name] = (family, params, config.seeds, method.config)
+    return workloads
 
 
 @contextmanager
@@ -73,12 +85,13 @@ def failing_eigh(call):
         np.linalg.eigh = eigh
 
 
-def instances():
-    """(name, pair) of every instance, in a fixed order."""
+def instances(workloads):
+    """(name, pair) of every instance, in a fixed order, with the benchmark
+    instances of `workloads`, which `benchmark_workloads` returns."""
     for family, (params, _) in FAMILIES.items():
         for seed in range(3):
             yield f"{family}-{seed}", generate(family, seed, **params)
-    for workload, (family, params, seeds, *_) in WORKLOADS.items():
+    for workload, (family, params, seeds, _) in workloads.items():
         for seed in seeds:
             yield f"{workload}-{seed}", generate(family, seed, **params)
     yield "ellipsoids-default-gap", generate("ellipsoids", 0, n=6, cond=4.0)
@@ -88,7 +101,7 @@ def instances():
         yield f"tangent-{seed}", _ellipsoids(100, 20.0, 0.0, make_rng(seed))
 
 
-def solves(pairs):
+def solves(pairs, workloads):
     """(name, pair, config, eigh call to fail or None), in a fixed order, over
     the instances `pairs` names."""
     for family, (params, eps) in FAMILIES.items():
@@ -102,9 +115,8 @@ def solves(pairs):
                 for max_iter in (1, 2, 7, 2000):
                     cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
                     yield f"{name}-cap{max_iter}", pair, cfg, None
-    for workload, (_, _, seeds, options, eps, max_iter) in WORKLOADS.items():
+    for workload, (_, _, seeds, cfg) in workloads.items():
         for seed in seeds:
-            cfg = SolverConfig(eps=eps, max_iter=max_iter, **options)
             yield f"{workload}-{seed}", pairs[f"{workload}-{seed}"], cfg, None
     for seed in range(2):
         for schedule in (Constant(0.5), Vanishing()):
@@ -132,10 +144,11 @@ def digest(trace) -> str:
 
 
 def main():
-    pairs = dict(instances())
+    workloads = benchmark_workloads()
+    pairs = dict(instances(workloads))
     for name, pair in pairs.items():
         print(name, hashlib.sha256(json.dumps(pair_to_json(pair)).encode()).hexdigest())
-    for name, pair, cfg, fail_at in solves(pairs):
+    for name, pair, cfg, fail_at in solves(pairs, workloads):
         if fail_at is None:
             trace = solve(pair, cfg)
         else:
