@@ -271,8 +271,10 @@ def _check_circumcenter(seeds) -> list:
         dx = random_point(dim, rng)
         dy = random_point(dim, rng)
         c = operators.circumcenter(z, dx, dy, float(np.linalg.norm(dx)), float(np.linalg.norm(dy)))
+        # relative to the circumradius too, which grows without bound as dx
+        # and dy turn antiparallel
         error = max(circumcenter_residuals(z, z - 2.0 * dx, z - 2.0 * dy, c))
-        if error > 1e-9 * (1.0 + float(np.linalg.norm(z))):
+        if error > 1e-9 * (1.0 + float(np.linalg.norm(z)) + float(np.linalg.norm(c - z))):
             failures.append({"seed": seed, "case": "equidistance", "error": error})
         # a strictly centralized point via the centralizer on a ball pair: unit
         # balls whose centers lie sqrt(2) to 2 apart intersect, and near the rim

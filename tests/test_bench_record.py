@@ -50,10 +50,10 @@ def test_record_keeps_each_run_and_the_quartiles_of_each_metric():
     }
 
 
-def test_runs_every_benchmark_workload_by_default(monkeypatch, tmp_path):
+def test_runs_every_benchmark_workload(monkeypatch, tmp_path):
     tool = _tool()
     made = []
-    monkeypatch.setattr(tool, "run", lambda root, w, seed: made.append((w, seed)) or _detail(seed, 1.0))
+    monkeypatch.setattr(tool, "run", lambda w, seed: made.append((w, seed)) or _detail(seed, 1.0))
     monkeypatch.setattr(tool, "ROOT", tmp_path)
     (tmp_path / "BENCHMARK.json").write_text('{"workloads": [{"name": "a"}, {"name": "b"}]}')
     tool.main(["--pr", "7", "--seeds", "3", "4"])

@@ -239,3 +239,26 @@ def test_circumcenter_suite_catches_a_shifted_step(monkeypatch):
     report = oracle_check("circumcenter", range(20))
     assert not report["ok"]
     assert {f["case"] for f in report["failures"]} == {"equidistance", "pcrm-vs-qp"}
+
+
+def test_circumcenter_suite_bounds_equidistance_by_the_circumradius():
+    # at seed 28742 dx and dy are nearly antiparallel (cos = -1 + 3.3e-8) and
+    # the circumradius is 1.5e4: the residual of 1.9e-8 is 1.3e-12 of it
+    assert oracle_check("circumcenter", [28742])["ok"]
+
+
+def test_supporting_halfspace_projection_projects_a_point_just_outside_both_sets():
+    # unit balls centered 1.6 apart meet on the rim x = 0, y = +-0.6, where
+    # their outward normals are obtuse; a point 1e-6 above it lies about 6e-7
+    # outside both balls, and its step must still move it onto both
+    # supporting hyperplanes rather than return it as feasible
+    pair = ProblemPair(
+        X=Ball(np.array([-0.8, 0.0]), 1.0), Y=Ball(np.array([0.8, 0.0]), 1.0), z0=np.zeros(2)
+    )
+    z = np.array([0.0, 0.6 + 1e-6])
+    px, py = project(pair.X, z), project(pair.Y, z)
+    got = supporting_halfspace_projection(pair, z, px=px, py=py)
+    want = _exact_step(z, px, py)
+    err = math.sqrt(sum((Fraction(float(g)) - w) ** 2 for g, w in zip(got, want)))
+    assert np.linalg.norm(got - z) > 5e-7
+    assert err <= 1e-15

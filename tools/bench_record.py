@@ -4,7 +4,7 @@
 
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds 50
 --trace 0` in a fresh interpreter, for every workload BENCHMARK.json lists
-(or those given with --workloads) and every run seed, workload by workload.
+and every run seed, workload by workload.
 The record keeps each run's end-to-end metrics, its correctness counts and
 the `delta_sha256` of its detail line; per workload, the number of runs and
 the median and quartiles of each metric; and the machine block of the first
@@ -24,12 +24,12 @@ ROOT = Path(__file__).resolve().parents[1]
 RUN_ARGS = ("--seconds", "50", "--trace", "0")
 
 
-def run(root: Path, workload: str, seed: int) -> dict:
-    """One benchmark run of the checkout at root: its detail line, with the
+def run(workload: str, seed: int) -> dict:
+    """One benchmark run of this checkout: its detail line, with the
     correctness counts of its last line."""
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed), *RUN_ARGS],
-        cwd=root, capture_output=True, text=True, check=True,
+        cwd=ROOT, capture_output=True, text=True, check=True,
     )
     *_, detail, last = done.stdout.strip().splitlines()
     result = json.loads(last)
@@ -65,12 +65,9 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--workloads", nargs="+")
     args = parser.parse_args(argv)
-    workloads = args.workloads or [
-        w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
-    ]
-    runs = {w: [run(ROOT, w, seed) for seed in args.seeds] for w in workloads}
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    runs = {w: [run(w, seed) for seed in args.seeds] for w in workloads}
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(record(args.pr, runs), indent=2) + "\n")
     print(out)
