@@ -17,14 +17,6 @@ class EigenFailure(CfeasError, RuntimeError):
     """Symmetric eigendecomposition did not converge."""
 
 
-class DegenerateCircumcenter(CfeasError, RuntimeError):
-    """Distinct collinear points admit no equidistant point in their span.
-
-    Only the three-point oracle `oracles.circumcenter` raises it; the
-    solver's step takes its circumcenter in closed form and never does.
-    """
-
-
 class InvalidSpec(CfeasError, ValueError):
     """Malformed input: parameters, settings, a document, a flag or a file
     that cannot be opened.  The command line exits 2 on it."""

@@ -95,6 +95,11 @@ def circumcenter(z, dx, dy, norm_dx: float, norm_dy: float):
     and e = ||w||^2 / 2 = 1 + cos(u, v), free of the cancellation in
     1 + <u, v>, it is c = z - [(|dx| + |dy|) w - e (|dy| u + |dx| v)] /
     (e (2 - e)).  The norms must be positive.
+
+    The domain is e in [0, 2), and at e = 0 the call returns None.  Normals
+    that are parallel and point the same way give e = 2, which divides 0 by
+    0.  `pcrm` calls it only at a strictly centralized z, where
+    cos(u, v) < -STEP_COSINE_TOL, so e < 1.
     """
     u = dx / norm_dx
     v = dy / norm_dy

@@ -4,23 +4,24 @@ compare the library with them.
 Each oracle deliberately avoids the code path it cross-checks: the ellipsoid
 oracle bisects the multiplier instead of running Newton, the PSD oracle
 takes the symmetric polar factor from one SVD instead of clamping the
-eigenvalues of an eigh, the two-halfspace oracle enumerates active sets, and
-the three-point circumcenter solves a Gram system instead of taking the
-step's closed form from two normals.  The suites in SUITES call the
-library's projections, the step's circumcenter and `pcrm`, and compare them
-with these oracles, which themselves stay independent of it, and with the
-defining properties: idempotence, the characteristic inequality and
+eigenvalues of an eigh, and the two-halfspace oracle enumerates active sets.
+The step's circumcenter has no second implementation here: it is checked
+against its definition, equidistance and the affine span by least squares
+(`circumcenter_residuals`), and, at a centralized point, against the
+projection onto the two supporting halfspaces.  The suites in SUITES call
+the library's projections, the step's circumcenter and `pcrm`, and compare
+them with these oracles, which themselves stay independent of it, and with
+the defining properties: idempotence, the characteristic inequality and
 equidistance.
 """
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
 from . import operators
-from .errors import DegenerateCircumcenter, InvalidSpec
+from .errors import InvalidSpec
 from .geometry import Ball, Ellipsoid, Halfspace, ProblemPair, as_point, project, project_psd
 from .problems import VARIANTS, make_rng, random_member, random_point, random_set
 
@@ -161,44 +162,6 @@ def wedge_distance_to_intersection(pair: ProblemPair, z) -> float:
         z, pair.X.normal, pair.X.offset, pair.Y.normal, pair.Y.offset
     )
     return float(np.linalg.norm(as_point(z) - p))
-
-
-def circumcenter(z, v, w) -> np.ndarray:
-    """Equidistant point to {z, v, w} inside their affine hull: the
-    three-point reference for the step's closed form.
-
-    Solves the 2x2 Gram system G (a, b)^T = (||v-z||^2, ||w-z||^2)^T / 2 for
-    c = z + a (v - z) + b (w - z).  Coincident inputs fall back to midpoints;
-    distinct collinear triples have no equidistant point in their span and
-    raise DegenerateCircumcenter.
-    """
-    z, v, w = as_point(z), as_point(v), as_point(w)
-    if not (z.shape == v.shape == w.shape):
-        raise ValueError("circumcenter inputs must share one dimension")
-    d1, d2 = v - z, w - z
-    tiny = 1e-14 * max(1.0, *map(np.linalg.norm, (z, v, w)))
-    g11, g22 = float(d1.dot(d1)), float(d2.dot(d2))
-    n1, n2 = math.sqrt(g11), math.sqrt(g22)
-    if n1 <= tiny and n2 <= tiny:
-        return z.copy()
-    if np.linalg.norm(v - w) <= tiny:
-        return 0.5 * (z + v)
-    if n1 <= tiny:
-        return 0.5 * (z + w)
-    if n2 <= tiny:
-        return 0.5 * (z + v)
-
-    g12 = float(d1.dot(d2))
-    det = g11 * g22 - g12 * g12
-    # det <= 1e-14 ||G||_F^2: distinct collinear points, since equidistance
-    # would force w == z or w == v, which the branches above already cover
-    if det <= 1e-14 * (g11 * g11 + 2.0 * g12 * g12 + g22 * g22):
-        raise DegenerateCircumcenter(
-            "distinct collinear points admit no circumcenter in their span"
-        )
-    a = 0.5 * (g11 * g22 - g22 * g12) / det
-    b = 0.5 * (g22 * g11 - g11 * g12) / det
-    return z + a * d1 + b * d2
 
 
 def circumcenter_residuals(z, v, w, c) -> tuple[float, float]:

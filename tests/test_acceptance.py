@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from cfeas.errors import DegenerateCircumcenter, InsufficientTrace
+from cfeas.errors import InsufficientTrace
 from cfeas.geometry import (
     Ball,
     ProblemPair,
@@ -36,11 +36,11 @@ from cfeas.operators import (
     _strictly_centralized,
     apply_kernel,
     centralize,
+    circumcenter,
     circumcentered_step,
     pcrm,
 )
 from cfeas.oracles import (
-    circumcenter,
     circumcenter_residuals,
     ellipsoid_bisection,
     psd_nearest,
@@ -123,9 +123,8 @@ def test_criterion_2_circumcenter_correctness():
     while produced < 1000:
         dim = int(rng.integers(2, 11))
         z, v, w = (rng.standard_normal(dim) for _ in range(3))
-        try:
-            c = circumcenter(z, v, w)
-        except DegenerateCircumcenter:
+        c = closed_form_center(z, v, w)
+        if c is None:
             continue
         produced += 1
         equi, span = circumcenter_residuals(z, v, w, c)
@@ -168,6 +167,13 @@ def test_criterion_2_circumcenter_correctness():
     assert worst_qp <= 1e-8
     assert strict >= 50
     assert elapsed < 10.0
+
+
+def closed_form_center(z, v, w):
+    """The step's closed-form circumcenter of z, v = z - 2 dx and w = z - 2 dy,
+    or None where it returns None."""
+    dx, dy = 0.5 * (z - v), 0.5 * (z - w)
+    return circumcenter(z, dx, dy, float(np.linalg.norm(dx)), float(np.linalg.norm(dy)))
 
 
 def is_strictly_centralized(pair: ProblemPair, z) -> bool:

@@ -1,22 +1,21 @@
 """Circumcenter of a point and its two reflections, and the PCRM operator."""
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import cfeas.operators
-from cfeas.errors import DegenerateCircumcenter
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
-from cfeas.operators import centralize, pcrm
+from cfeas.operators import centralize, circumcenter, pcrm
 from cfeas.oracles import (
-    circumcenter,
     circumcenter_residuals,
     oracle_check,
     supporting_halfspace_projection,
 )
 from cfeas.problems import make_rng
-from test_acceptance import is_strictly_centralized
+from test_acceptance import closed_form_center, is_strictly_centralized
 
 
 def test_equidistance_and_span_random_triples():
@@ -26,38 +25,11 @@ def test_equidistance_and_span_random_triples():
         z = rng.standard_normal(dim)
         v = rng.standard_normal(dim)
         w = rng.standard_normal(dim)
-        c = circumcenter(z, v, w)
+        c = closed_form_center(z, v, w)
         eq, span = circumcenter_residuals(z, v, w, c)
         scale = 1.0 + max(np.linalg.norm(z), np.linalg.norm(v), np.linalg.norm(w))
         assert eq <= 1e-9 * scale
         assert span <= 1e-9 * scale
-
-
-def test_all_points_coincident():
-    z = np.array([1.0, 2.0])
-    assert np.allclose(circumcenter(z, z.copy(), z.copy()), z)
-
-
-def test_one_pair_coincident_gives_midpoint():
-    z = np.array([0.0, 0.0])
-    v = np.array([2.0, 0.0])
-    w = np.array([0.0, 4.0])
-    assert np.allclose(circumcenter(z, v, z.copy()), [1.0, 0.0])  # w = z
-    assert np.array_equal(circumcenter(z, v, v.copy()), [1.0, 0.0])  # v = w
-    assert np.array_equal(circumcenter(z, z.copy(), w), [0.0, 2.0])  # v = z
-
-
-def test_collinear_distinct_points_degenerate():
-    z = np.array([0.0, 0.0])
-    v = np.array([1.0, 0.0])
-    w = np.array([2.0, 0.0])
-    with pytest.raises(DegenerateCircumcenter):
-        circumcenter(z, v, w)
-
-
-def test_inputs_of_different_lengths_raise():
-    with pytest.raises(ValueError, match="share one dimension"):
-        circumcenter(np.zeros(2), np.ones(2), np.ones(3))
 
 
 def test_planar_triangle_matches_analytic_circumcenter():
@@ -65,7 +37,7 @@ def test_planar_triangle_matches_analytic_circumcenter():
     z = np.array([0.0, 0.0])
     v = np.array([4.0, 0.0])
     w = np.array([0.0, 2.0])
-    assert np.allclose(circumcenter(z, v, w), [2.0, 1.0], atol=1e-12)
+    assert np.allclose(closed_form_center(z, v, w), [2.0, 1.0], atol=1e-12)
 
 
 def test_circumcenter_embeds_in_higher_dimension():
@@ -75,7 +47,7 @@ def test_circumcenter_embeds_in_higher_dimension():
     w2 = np.array([0.0, 2.0])
     q, _ = np.linalg.qr(rng.standard_normal((7, 2)))
     shift = rng.standard_normal(7)
-    c = circumcenter(q @ z2 + shift, q @ v2 + shift, q @ w2 + shift)
+    c = closed_form_center(q @ z2 + shift, q @ v2 + shift, q @ w2 + shift)
     assert np.allclose(c, q @ np.array([2.0, 1.0]) + shift, atol=1e-10)
 
 
@@ -113,16 +85,40 @@ def test_pcrm_takes_px_exactly_when_not_strictly_centralized(eps, strict):
 
 
 def test_pcrm_at_a_point_of_y_takes_the_strictness_branch():
-    # z in Y: z - P_Y z = 0, so the inner product is 0, z is not strictly
-    # centralized, and pcrm returns P_X z
+    # z in Y, in X ∩ Y or in X: z - P_Y z = 0 or z - P_X z = 0, so the inner
+    # product is 0, z is not strictly centralized, and pcrm returns P_X z
     X = Ball(np.zeros(3), 1.0)
-    Y = Halfspace(np.array([0.0, 0.0, 1.0]), 5.0)
+    Y = Halfspace(np.array([0.0, 0.0, 1.0]), 0.5)
     pair = ProblemPair(X=X, Y=Y, z0=np.zeros(3))
-    z = np.array([3.0, 0.0, 0.0])
-    out, ip = pcrm(pair, z)
-    assert ip == 0.0
-    assert not is_strictly_centralized(pair, z)
+    for z in ([3.0, 0.0, 0.0], [0.0, 0.6, 0.2], [0.0, 0.0, 0.9]):
+        z = np.array(z)
+        out, ip = pcrm(pair, z)
+        assert ip == 0.0
+        assert not is_strictly_centralized(pair, z)
+        assert np.array_equal(out, project(pair.X, z))
+
+
+@pytest.mark.parametrize("inner", ["X", "Y"])
+def test_pcrm_takes_px_on_nested_halfspaces_with_one_normal(inner):
+    # {x1 <= 0} inside {x1 <= 1}: outside both, dx and dy are parallel and
+    # point the same way, where the closed form would divide 0 by 0
+    small = Halfspace(np.array([1.0, 0.0]), 0.0)
+    large = Halfspace(np.array([1.0, 0.0]), 1.0)
+    X, Y = (small, large) if inner == "X" else (large, small)
+    pair = ProblemPair(X=X, Y=Y, z0=np.zeros(2))
+    z = np.array([3.0, -2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out, ip = pcrm(pair, z)
+    assert ip > 0.0
     assert np.array_equal(out, project(pair.X, z))
+
+
+def test_circumcenter_is_none_at_exactly_antiparallel_normals():
+    z = np.array([0.5, 0.3, -2.0])
+    dx = np.array([0.5, 0.0, 0.0])
+    dy = np.array([-0.25, 0.0, 0.0])
+    assert circumcenter(z, dx, dy, 0.5, 0.25) is None
 
 
 def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
@@ -150,10 +146,12 @@ def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
         ref = supporting_halfspace_projection(pair, z, px=px, py=py)
         assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
         if is_strictly_centralized(pair, z):
-            # the closed form is the three-point circumcenter of z and its
-            # two reflections, which the oracle solves from their Gram system
-            ref = circumcenter(z, 2.0 * px - z, 2.0 * py - z)
-            assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
+            # the closed form against an exact rational solve of the Gram
+            # system of the two supporting hyperplanes
+            ref = _exact_step(z, px, py)
+            err = math.sqrt(sum((Fraction(float(g)) - r) ** 2 for g, r in zip(out, ref)))
+            size = math.sqrt(sum(r * r for r in ref))
+            assert err <= 1e-8 * (1.0 + size)
     assert strict >= 50
 
 
@@ -176,8 +174,9 @@ def _exact_step(z, px, py):
 @pytest.mark.parametrize("eps", [1e-1, 1e-4, 1e-6, 1e-7, 1e-8])
 def test_pcrm_is_accurate_at_nearly_antiparallel_normals(eps):
     # two halfspaces through px and py whose normals meet at angle pi - eps:
-    # the step lands about 1/eps away, where a three-point Gram solve loses
-    # about 1/eps^2 of relative accuracy; the closed form loses about 1/eps
+    # the step lands about 1/eps away, where a float solve of the Gram system
+    # of z and its two reflections loses about 1/eps^2 of relative accuracy;
+    # the closed form loses about 1/eps
     rng = make_rng(26)
     worst = 0.0
     for _ in range(100):
@@ -211,6 +210,30 @@ def test_pcrm_takes_px_at_exactly_antiparallel_normals():
         assert ip < 0.0 and is_strictly_centralized(pair, z)
         assert np.isfinite(out).all()
         assert np.array_equal(out, project(pair.X, z))
+
+
+def test_pcrm_calls_the_closed_form_only_below_e_one(monkeypatch):
+    # strictness, cos(u, v) < -1e-8, keeps e = 1 + cos(u, v) below 1 and so
+    # away from e = 2, where the closed form divides 0 by 0
+    seen = []
+    inner = cfeas.operators.circumcenter
+
+    def recorded(z, dx, dy, norm_dx, norm_dy):
+        w = dx / norm_dx + dy / norm_dy
+        seen.append(0.5 * float(w @ w))
+        return inner(z, dx, dy, norm_dx, norm_dy)
+
+    monkeypatch.setattr(cfeas.operators, "circumcenter", recorded)
+    for eps in np.geomspace(1e-9, 1e-7, 41):
+        pcrm(_wedge([-math.sin(eps), math.cos(eps)]), np.array([1.0, 1.0]))
+    rng = make_rng(29)
+    for _ in range(1000):
+        dim = int(rng.integers(2, 6))
+        a1, a2 = rng.standard_normal(dim), rng.standard_normal(dim)
+        pair = ProblemPair(X=Halfspace(a1, 0.0), Y=Halfspace(a2, 0.0), z0=np.zeros(dim))
+        pcrm(pair, rng.standard_normal(dim))
+    assert len(seen) >= 100
+    assert max(seen) < 1.0
 
 
 def _unit(rng, dim):

