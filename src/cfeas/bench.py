@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidSpec
 from .problems import CONFIG_FIELDS, SCHEDULES, generate, read_fields
-from .solver import STATUS_NUMERICAL_FAILURE, Constant, IterationRecord, SolveTrace, SolverConfig
+from .solver import Constant, IterationRecord, SolveTrace, SolverConfig
 
 # a trace file's columns are IterationRecord's fields, in order
 _TRACE_COLUMNS = [f.name for f in fields(IterationRecord)]
@@ -50,9 +50,11 @@ class ExperimentConfig:
                 raise InvalidSpec(f"method name {name!r} is not one file-name component")
         # a run's method name and seed name its trace file, so neither repeats
         for what, values in (("method name", names), ("seed", self.seeds)):
-            for i, value in enumerate(values):
-                if value in values[:i]:
+            seen = set()
+            for value in values:
+                if value in seen:
                     raise InvalidSpec(f"{what} {value!r} is given twice")
+                seen.add(value)
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
@@ -62,43 +64,31 @@ class ExperimentConfig:
         every cell later.  An error in one method names that method."""
         values = read_fields(doc, "bench config", CONFIG_FIELDS)
         generator, rows, seeds, eps, max_iter, output_dir = values
+        # an eps or max_iter error belongs to no one method: raise it plain
+        SolverConfig(eps=eps, max_iter=max_iter)
         methods = []
         for name, *rest in rows:
             try:
                 methods.append(MethodSpec(name, SolverConfig(*rest, eps, max_iter)))
             except InvalidSpec as exc:
-                # an eps or max_iter error belongs to no one method: raise it plain
-                SolverConfig(eps=eps, max_iter=max_iter)
                 raise InvalidSpec(f"bench config method {name!r}: {exc}") from None
         return cls(generator, methods, seeds, eps, max_iter, output_dir)
 
 
-@dataclass
-class RunResult:
-    method: str
-    seed: int
-    trace: Optional[SolveTrace] = None
-    error: Optional[str] = None
-
-    @property
-    def failed(self) -> bool:
-        return self.error is not None or (
-            self.trace is not None and self.trace.status == STATUS_NUMERICAL_FAILURE
-        )
-
-
-def _run_one(config: ExperimentConfig, method: MethodSpec, seed: int) -> RunResult:
+def _run_one(config: ExperimentConfig, method: MethodSpec, seed: int):
+    """One cell: (method name, seed, trace or None, failure or None).  The
+    failure is the text of what the cell raised, or the trace's own failure,
+    which is set exactly when the solve ended numerical_failure."""
     # looked up at call time: perfbench swaps cfeas.bench.generate and cfeas.solver.solve
     from .solver import solve
 
     gen = dict(config.generator)
     family = gen.pop("family")
     try:
-        pair = generate(family, seed, **gen)
-        trace = solve(pair, method.config)
-        return RunResult(method.name, seed, trace=trace)
+        trace = solve(generate(family, seed, **gen), method.config)
     except Exception as exc:  # aggregated into the partial-failure report
-        return RunResult(method.name, seed, error=f"{type(exc).__name__}: {exc}")
+        return method.name, seed, None, f"{type(exc).__name__}: {exc}"
+    return method.name, seed, trace, trace.failure
 
 
 def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] = None):
@@ -108,25 +98,24 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
         raise InvalidSpec(f"jobs must be at least 1, got {jobs}")
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
-    cells = [(m, s) for m in config.methods for s in config.seeds]
+    pending = [(m, s) for m in config.methods for s in config.seeds]
     if jobs > 1:
         # loaded here, not with the module: it brings logging, queue, traceback
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda c: _run_one(config, *c), cells))
+            cells = list(pool.map(lambda c: _run_one(config, *c), pending))
     else:
-        results = [_run_one(config, m, s) for m, s in cells]
-    # plotdata.csv and report.json list the runs by (method name, seed), not in config order
-    results.sort(key=lambda r: (r.method, r.seed))
+        cells = [_run_one(config, m, s) for m, s in pending]
+    # plotdata.csv and report.json list the cells by (method name, seed), not in config order
+    cells.sort(key=lambda c: c[:2])
 
-    traces = {f"{r.method}_{r.seed}": r.trace for r in results if r.trace is not None}
+    traces = {f"{name}_{seed}": t for name, seed, t, _ in cells if t is not None}
     heads = {n: write_trace_csv(t, os.path.join(out, f"trace_{n}.csv")) for n, t in traces.items()}
 
     summary_rows = []
     for m in config.methods:
-        runs = [r for r in results if r.method == m.name and r.trace is not None]
-        ok = [r.trace for r in runs if not r.failed]
+        ok = [t for name, _, t, failure in cells if name == m.name and failure is None]
         if ok:
             mean_iters = float(np.mean([t.iterations for t in ok]))
             mean_time_s = float(np.mean([t.records[-1].wall_ns for t in ok])) * 1e-9
@@ -149,29 +138,26 @@ def run_matrix(config: ExperimentConfig, jobs: int = 1, out_dir: Optional[str] =
     write_summary_csv(summary_rows, os.path.join(out, "summary.csv"))
     emit_convergence_plotdata(traces, heads, os.path.join(out, "plotdata.csv"))
 
-    failures = [
-        {"method": r.method, "seed": r.seed, "error": r.error or r.trace.failure}
-        for r in results
-        if r.failed
-    ]
     report = {
         "generator": config.generator,
         "eps": config.eps,
         "max_iter": config.max_iter,
         "runs": [
             {
-                "method": r.method,
-                "seed": r.seed,
-                "status": r.trace.status if r.trace else "error",
-                "iterations": r.trace.iterations if r.trace else None,
-                "final_delta": r.trace.final_delta if r.trace and r.trace.records else None,
-                "projections": r.trace.total_algorithmic_projections
-                if r.trace
-                else None,
+                "method": name,
+                "seed": seed,
+                "status": t.status if t else "error",
+                "iterations": t.iterations if t else None,
+                "final_delta": t.final_delta if t and t.records else None,
+                "projections": t.total_algorithmic_projections if t else None,
             }
-            for r in results
+            for name, seed, t, _ in cells
         ],
-        "failures": failures,
+        "failures": [
+            {"method": name, "seed": seed, "error": failure}
+            for name, seed, _, failure in cells
+            if failure is not None
+        ],
     }
     with open(os.path.join(out, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2)

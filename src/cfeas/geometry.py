@@ -168,6 +168,8 @@ class EntryMask:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.order < 1:
+            raise ValueError("entry mask order must be >= 1")
         object.__setattr__(self, "rows", np.asarray(self.rows, dtype=int))
         object.__setattr__(self, "cols", np.asarray(self.cols, dtype=int))
         object.__setattr__(self, "values", as_point(self.values))

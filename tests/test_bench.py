@@ -2,11 +2,13 @@
 import csv
 import json
 import os
+import time
 
 import numpy as np
 import pytest
 
 import cfeas.bench
+import cfeas.oracles
 from cfeas.bench import ExperimentConfig, run_matrix
 from cfeas.cli import build_parser
 from cfeas.errors import InvalidSpec
@@ -226,10 +228,72 @@ def test_run_matrix_reports_a_failure_at_z0(tmp_path, monkeypatch):
         assert failure["error"] == "initial point: projection produced non-finite entries"
 
 
+def test_run_matrix_averages_only_the_cells_that_did_not_fail(tmp_path, monkeypatch):
+    """One matrix with a successful seed (0), a seed whose generator raises
+    (1) and a seed whose run fails mid-run (2): summary.csv averages seed 0
+    alone, and report.json lists every cell of seeds 1 and 2 as a failure."""
+
+    def mixed(family, seed, **params):
+        if seed == 1:
+            raise InvalidSpec("generator failed")
+        pair = generate(family, seed, **params)
+        if seed == 2:
+            project, calls = pair.Y._project, []
+
+            def poisoned(z):
+                calls.append(1)
+                return project(z) if len(calls) <= 4 else np.full_like(z, np.nan)
+
+            object.__setattr__(pair.Y, "_project", poisoned)
+        return pair
+
+    monkeypatch.setattr(cfeas.bench, "generate", mixed)
+    doc = _config_doc(str(tmp_path / "run"))
+    config = ExperimentConfig.from_json(doc)
+    summary, report = run_matrix(config)
+    for m, row in zip(config.methods, summary):
+        trace = solve(generate(seed=0, **doc["generator"]), m.config)
+        assert row["mean_iters"] == trace.iterations
+        assert row["mean_final_delta"] == trace.final_delta
+        assert row["mean_projections"] == trace.total_algorithmic_projections
+    with open(tmp_path / "run" / "summary.csv", newline="") as fh:
+        assert [r["mean_iters"] for r in csv.DictReader(fh)] == [
+            str(row["mean_iters"]) for row in summary
+        ]
+    failures = {(f["method"], f["seed"]): f["error"] for f in report["failures"]}
+    assert set(failures) == {(m.name, s) for m in config.methods for s in (1, 2)}
+    for m in config.methods:
+        assert failures[(m.name, 1)] == "InvalidSpec: generator failed"
+        assert failures[(m.name, 2)].startswith("iteration ")
+    status = {(r["method"], r["seed"]): r["status"] for r in report["runs"]}
+    assert {status[(m.name, 2)] for m in config.methods} == {"numerical_failure"}
+    assert {status[(m.name, 1)] for m in config.methods} == {"error"}
+
+
+def test_many_seeds_load_quickly_and_a_repeat_is_named(tmp_path):
+    seeds = list(range(300_000))
+    start = time.perf_counter()
+    config = ExperimentConfig.from_json(_config_doc(str(tmp_path), seeds=seeds))
+    assert time.perf_counter() - start < 5.0
+    assert len(config.seeds) == 300_000
+    with pytest.raises(InvalidSpec, match="seed 299999 is given twice"):
+        ExperimentConfig.from_json(_config_doc(str(tmp_path), seeds=seeds + [299_999]))
+
+
 def test_oracle_suites_clean():
     for suite in ("projections", "circumcenter", "invariants"):
         report = oracle_check(suite, range(5))
         assert report["ok"], report["failures"]
+
+
+def test_invariants_suite_catches_the_reflector_in_place_of_the_projection(monkeypatch):
+    # 2P - I is nonexpansive, so only the reflector, idempotence and
+    # characteristic checks can tell it from P
+    project = cfeas.oracles.project
+    monkeypatch.setattr(cfeas.oracles, "project", lambda s, z: 2.0 * project(s, z) - z)
+    report = oracle_check("invariants", range(20))
+    cases = {f["case"].split("-", 1)[1] for f in report["failures"]}
+    assert cases == {"idempotence", "reflection", "characteristic"}
 
 
 def test_oracle_check_unknown_suite():

@@ -280,6 +280,15 @@ def test_nonfinite_input_surfaces_as_error():
             project_ellipsoid_multiplier(pair.Y, bad)
 
 
+@pytest.mark.parametrize("order", [0, -1])
+@pytest.mark.parametrize(
+    "make", [PsdCone, lambda order: EntryMask(order, [], [], [])], ids=["psd_cone", "entry_mask"]
+)
+def test_matrix_set_order_below_one_rejected_at_construction(make, order):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        make(order)
+
+
 @pytest.mark.parametrize(
     "variant,field",
     [

@@ -143,6 +143,43 @@ def test_solve_hits_iteration_cap():
         assert trace.iterations == 2
 
 
+def _ellipsoids_poisoned_after(calls):
+    """An ellipsoid pair whose Y projection turns NaN after `calls` calls."""
+    pair = generate("ellipsoids", 2, n=30, cond=20.0)
+    project, count = pair.Y._project, []
+
+    def poisoned(z):
+        count.append(1)
+        return project(z) if len(count) <= calls else np.full_like(z, np.nan)
+
+    object.__setattr__(pair.Y, "_project", poisoned)
+    return pair
+
+
+@pytest.mark.parametrize(
+    "make,eps,status,failure",
+    [
+        (lambda: generate("halfspace_wedge", 1, n=10, theta=0.8), 1e-12, STATUS_CONVERGED, None),
+        (lambda: generate("ellipsoids", 2, n=30, cond=20.0), 1e-300, STATUS_MAX_ITER, None),
+        (lambda: _ellipsoids_poisoned_after(0), 1e-12, STATUS_NUMERICAL_FAILURE, "initial point: "),
+        (lambda: _ellipsoids_poisoned_after(8), 1e-12, STATUS_NUMERICAL_FAILURE, "iteration "),
+    ],
+    ids=["converged", "max_iter", "failure_at_z0", "failure_mid_run"],
+)
+def test_trace_failure_is_set_exactly_when_the_run_ends_numerical_failure(
+    make, eps, status, failure
+):
+    # run_matrix counts a cell as failed by its trace's failure alone
+    trace = solve(make(), SolverConfig(eps=eps, max_iter=5))
+    assert trace.status == status
+    if failure is None:
+        assert trace.failure is None
+    else:
+        assert trace.failure.startswith(failure)
+        # failed mid-run, the trace keeps the iterates before the failure
+        assert (trace.iterations > 0) == (failure == "iteration ")
+
+
 def test_solve_fejer_monotone_distances(solve_recording):
     pair = generate("ellipsoids", 3, n=40, cond=20.0)
     _, zs = solve_recording(pair, SolverConfig(eps=1e-12))
