@@ -14,12 +14,11 @@ from .problems import (
     GENERATORS,
     SCHEDULES,
     generate,
-    load_pair,
-    read_int,
+    pair_from_json,
+    pair_to_json,
     read_json,
     read_number,
     read_seed,
-    save_pair,
     schedule_from_json,
 )
 from .solver import METHODS, STATUS_CONVERGED, SolverConfig, solve
@@ -38,9 +37,9 @@ def _add_generator_args(p: argparse.ArgumentParser, required: bool = True) -> No
     a default: generate() fills in a family's defaults and seed 0, and names
     a parameter that is missing or that the family does not take."""
     p.add_argument("--family", choices=list(GENERATORS), required=required)
-    flag_type = {read_int: int, read_number: float}
+    flag_type = {"integer": int, "number": float}  # by the reader's JSON type
     for key, read in _PARAMS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=flag_type[read])
+        p.add_argument("--" + key.replace("_", "-"), type=flag_type[read.schema["type"]])
     p.add_argument("--seed", type=int)
 
 
@@ -117,7 +116,7 @@ def _parse_seed_range(text: str):
     lo, _, hi = text.partition("..")
     try:
         seeds = list(range(read_seed(int(lo)), read_seed(int(hi)) + 1))
-    except ValueError as exc:  # InvalidSpec included
+    except (ValueError, OverflowError) as exc:  # InvalidSpec included; too many seeds to list
         raise InvalidSpec(f"--seed-range {text!r}: expected A..B of seeds ({exc})") from None
     if not seeds:
         raise InvalidSpec(f"--seed-range {text!r}: empty, A must not exceed B")
@@ -126,7 +125,8 @@ def _parse_seed_range(text: str):
 
 def _cmd_gen(args) -> int:
     pair = _generate(args)
-    save_pair(pair, args.out)
+    with open(args.out, "w") as fh:
+        json.dump(pair_to_json(pair), fh)
     print(f"wrote {args.out} ({args.family}, seed {pair.metadata['seed']}, dim {pair.dim})")
     return EXIT_OK
 
@@ -136,7 +136,7 @@ def _cmd_solve(args) -> int:
     if args.instance and flags:
         raise InvalidSpec(f"--instance takes no generator flags, got {' '.join(flags)}")
     if args.instance:
-        pair = load_pair(args.instance)
+        pair = pair_from_json(read_json(args.instance, "instance"))
     elif args.family:
         pair = _generate(args)
     else:
@@ -213,7 +213,3 @@ def main(argv=None) -> int:
     except CfeasError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUN_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

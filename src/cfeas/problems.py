@@ -1,7 +1,8 @@
 """Seeded generators for benchmark instances and for the random sets, points
 and set members of the oracle and property checks, and the one reader of
 every input document: instances, generator parameters, schedules and bench
-configs.
+configs.  A generator parameter is one GENERATORS row, its name, reader and
+range and default, which the loader, `generate`, CLI and schema all read.
 
 All randomness flows through a counter-based Philox bit generator keyed by the
 seed (`make_rng`), so regenerating with the same parameters is bit-identical
@@ -35,11 +36,13 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
-def _matrix_completion_ranges(n: int, rank: int, obs_frac: float) -> None:
-    if not 0 < rank < n:
-        raise InvalidSpec(f"need 0 < rank < n, got rank={rank}, n={n}")
-    if not 0.0 < obs_frac <= 1.0:
-        raise InvalidSpec(f"obs_frac must lie in (0, 1], got {obs_frac}")
+def _symmetric_entries(i: np.ndarray, j: np.ndarray, n: int):
+    """rows and cols of the entries (i, j) and (j, i) of an n x n matrix, each
+    once, in row-major order."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[i, j] = True
+    mask[j, i] = True
+    return np.divmod(np.flatnonzero(mask), n)
 
 
 def _matrix_completion(n: int, rank: int, obs_frac: float, rng) -> ProblemPair:
@@ -69,10 +72,7 @@ def _matrix_completion(n: int, rank: int, obs_frac: float, rng) -> ProblemPair:
     at[perm] = order
     added = np.where(at[j * n + i] >= order, 2 - (i == j), 0)
     m = int(np.searchsorted(np.cumsum(added), math.ceil(obs_frac * n * n))) + 1
-    mask = np.zeros((n, n), dtype=bool)
-    mask[i[:m], j[:m]] = True
-    mask[j[:m], i[:m]] = True
-    rows, cols = np.divmod(np.flatnonzero(mask), n)
+    rows, cols = _symmetric_entries(i[:m], j[:m], n)
     values = a[rows, cols]
     z0 = np.zeros((n, n))
     z0[rows, cols] = values
@@ -82,15 +82,6 @@ def _matrix_completion(n: int, rank: int, obs_frac: float, rng) -> ProblemPair:
         z0=z0.reshape(-1),
         s_ref=a.reshape(-1),
     )
-
-
-def _ellipsoids_ranges(n: int, cond: float, tangency_gap: float) -> None:
-    if not 1.0 <= cond < math.inf:
-        raise InvalidSpec(f"condition number must be finite and >= 1, got {cond}")
-    if not 0.0 < tangency_gap < 1.0:
-        raise InvalidSpec(f"tangency_gap must lie in (0, 1), got {tangency_gap}")
-    if n < 1:
-        raise InvalidSpec("dimension must be >= 1")
 
 
 def _ellipsoids(n: int, cond: float, tangency_gap: float, rng) -> ProblemPair:
@@ -118,13 +109,6 @@ def _ellipsoids(n: int, cond: float, tangency_gap: float, rng) -> ProblemPair:
         z0=z0,
         s_ref=np.zeros(n),
     )
-
-
-def _halfspace_wedge_ranges(n: int, theta: float) -> None:
-    if not 0.0 < theta < math.pi / 2:
-        raise InvalidSpec(f"theta must lie in (0, pi/2), got {theta}")
-    if n < 2:
-        raise InvalidSpec("wedge needs dimension >= 2")
 
 
 def _halfspace_wedge(n: int, theta: float, rng) -> ProblemPair:
@@ -175,13 +159,31 @@ read_str = _typed("string", str, str)
 read_object = _typed("object", dict, dict)
 
 
-def _seed(value) -> int:
-    if not 0 <= read_int(value) < 2**128:  # the range of a Philox key
-        raise InvalidSpec(f"seed must lie in [0, 2**128), got {value}")
-    return int(value)
+_ENDS = {"inf": math.inf, "pi/2": math.pi / 2, "2**128": 2**128}
 
 
-read_seed = reader({**read_int.schema, "minimum": 0, "exclusiveMaximum": 2**128}, _seed)
+def within(read, interval: str):
+    """`read`, limited to `interval`: "[lo, hi)" with "(" or ")" at an open
+    end, each end an integer or a key of _ENDS.  An infinite end is written
+    open, so NaN and +-inf fail.  The finite ends go into the schema."""
+    lo, hi = (_ENDS[end] if end in _ENDS else int(end) for end in interval[1:-1].split(", "))
+    lo_open, hi_open = interval[0] == "(", interval[-1] == ")"
+    bounds = {"exclusiveMinimum" if lo_open else "minimum": lo}
+    bounds["exclusiveMaximum" if hi_open else "maximum"] = hi
+
+    def read_within(value):
+        value = read(value)
+        above = lo < value if lo_open else lo <= value
+        below = value < hi if hi_open else value <= hi
+        if not (above and below):
+            raise ValueError(f"must lie in {interval}, got {value}")
+        return value
+
+    finite = {key: end for key, end in bounds.items() if abs(end) < math.inf}
+    return reader({**read.schema, **finite}, read_within)
+
+
+read_seed = within(read_int, "[0, 2**128)")  # the keys of the Philox generator
 
 
 def read_list(read):
@@ -206,7 +208,7 @@ def read_fields(doc, name: str, fields) -> list:
             raise InvalidSpec(f"{name}: missing field {key!r}")
         try:
             values.append(read(doc[key]) if key in doc else default[0])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # a number too large for a float
             raise InvalidSpec(f"{name} field {key!r}: {exc}") from None
     return values
 
@@ -244,43 +246,52 @@ def variants_schema(table: dict, tag: str, default=None) -> dict:
     return {"oneOf": branches}
 
 
-# a builder's `ranges` checks its parameters' ranges: `generate` calls it before
-# building, and the bench config loader calls it alone, without building
-_matrix_completion.ranges = _matrix_completion_ranges
-_ellipsoids.ranges = _ellipsoids_ranges
-_halfspace_wedge.ranges = _halfspace_wedge_ranges
-
-# family -> (instance builder, its parameters in call order); a builder takes
-# the instance's rng last
+# family -> (instance builder, its parameters in call order, each read within
+# its range); a builder takes the instance's rng last
 GENERATORS = {
     "matrix_completion": (
         _matrix_completion,
-        (("n", read_int), ("rank", read_int), ("obs_frac", read_number)),
+        (
+            ("n", within(read_int, "[1, inf)")),
+            ("rank", within(read_int, "[1, inf)")),  # and below n, see _read_generator
+            ("obs_frac", within(read_number, "(0, 1]")),
+        ),
     ),
     "ellipsoids": (
         _ellipsoids,
         (
-            ("n", read_int),
-            ("cond", read_number),
-            ("tangency_gap", read_number, 1e-3),
+            ("n", within(read_int, "[1, inf)")),
+            ("cond", within(read_number, "[1, inf)")),
+            ("tangency_gap", within(read_number, "[0, 1)"), 1e-3),
         ),
     ),
-    "halfspace_wedge": (_halfspace_wedge, (("n", read_int), ("theta", read_number))),
+    "halfspace_wedge": (
+        _halfspace_wedge,
+        (("n", within(read_int, "[2, inf)")), ("theta", within(read_number, "(0, pi/2)"))),
+    ),
 }
+
+
+def _read_generator(doc):
+    """(builder, its parameters by name in call order) of a generator
+    document, read by the family's GENERATORS row.  It also checks rank < n,
+    the one range that spans two parameters."""
+    build, args = read_variant(doc, "{} generator", GENERATORS, "family")
+    params = dict(zip((key for key, *_ in GENERATORS[doc["family"]][1]), args))
+    if params.get("rank", 0) >= params["n"]:  # a family without a rank passes
+        raise InvalidSpec(f"{doc['family']} generator: need rank < n, got {params}")
+    return build, params
 
 
 def generate(family: str, seed: int, **params) -> ProblemPair:
     """The seeded `family` instance, the one way to build one.  InvalidSpec
-    for a parameter the family does not take or a missing one, then for a
-    seed that is not an integer in [0, 2**128), then for a parameter out of
-    the family's range.  The metadata lists the family, its parameters, a
-    wedge's omega and the seed."""
-    build, args = read_variant({**params, "family": family}, "{} generator", GENERATORS, "family")
+    for a parameter the family does not take, a missing one or one out of
+    its range, then for a seed that is not an integer in [0, 2**128).  The
+    metadata lists the family, its parameters, a wedge's omega and the seed."""
+    build, params = _read_generator({**params, "family": family})
     (seed,) = read_fields({"seed": seed}, f"{family} generator", (("seed", read_seed),))
-    build.ranges(*args)
-    pair = build(*args, make_rng(seed))
-    names = [key for key, *_ in GENERATORS[family][1]]
-    pair.metadata = {"family": family, **dict(zip(names, args)), **pair.metadata, "seed": seed}
+    pair = build(*params.values(), make_rng(seed))
+    pair.metadata = {"family": family, **params, **pair.metadata, "seed": seed}
     return pair
 
 
@@ -326,15 +337,8 @@ def random_set(variant: str, rng: np.random.Generator, dim: int = 5, order: int 
     if variant == "entry_mask":
         m = rng.standard_normal((order, order))
         m = 0.5 * (m + m.T)
-        chosen = set()
-        n_pick = max(1, order * order // 3)
-        for flat in rng.permutation(order * order)[:n_pick]:
-            i, j = divmod(int(flat), order)
-            chosen.add((i, j))
-            chosen.add((j, i))
-        idx = sorted(chosen)
-        rows = np.array([i for i, _ in idx])
-        cols = np.array([j for _, j in idx])
+        picked = rng.permutation(order * order)[: max(1, order * order // 3)]
+        rows, cols = _symmetric_entries(*np.divmod(picked, order), order)
         return EntryMask(order, rows, cols, m[rows, cols])
     raise ValueError(f"unknown variant {variant!r}")
 
@@ -388,7 +392,7 @@ def _set_from_json(doc, name: str) -> SetDescriptor:
     cls, args = read_variant(doc, name + " ({})", _SET_VARIANTS, "variant")
     try:
         return cls(*args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # an order or index too large for numpy
         raise InvalidSpec(f"{name} ({doc['variant']}): {exc}") from None
 
 
@@ -421,11 +425,6 @@ def pair_from_json(doc: dict) -> ProblemPair:
         raise InvalidSpec(f"instance: {exc}") from None
 
 
-def save_pair(pair: ProblemPair, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(pair_to_json(pair), fh)
-
-
 def read_json(path, what: str):
     """The JSON document at path; InvalidSpec naming `what` and the path if
     the file cannot be opened or is not JSON."""
@@ -436,10 +435,6 @@ def read_json(path, what: str):
         raise InvalidSpec(f"{what} {path}: {exc.strerror}") from None
     except ValueError as exc:  # not UTF-8 text, or not JSON
         raise InvalidSpec(f"{what} {path}: not JSON ({exc})") from None
-
-
-def load_pair(path) -> ProblemPair:
-    return pair_from_json(read_json(path, "instance"))
 
 
 # kind -> (schedule, its fields); a schedule that names no kind is constant
@@ -456,8 +451,7 @@ def schedule_from_json(doc):
 
 
 def _generator_doc(doc) -> dict:
-    build, args = read_variant(doc, "{} generator", GENERATORS, "family")
-    build.ranges(*args)
+    _read_generator(doc)
     return dict(doc)
 
 

@@ -10,9 +10,11 @@ import sys
 import pytest
 
 import cfeas.bench
+import cfeas.cli
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, build_parser, main
+from cfeas.errors import EigenFailure
 from cfeas.oracles import SUITES
-from cfeas.problems import GENERATORS, generate, pair_to_json, read_int, read_number
+from cfeas.problems import GENERATORS, generate, pair_to_json
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -254,6 +256,10 @@ def _nan_radius(doc):
     doc["X"] = {"variant": "ball", "center": [0.0, 0.0, 0.0, 0.0], "radius": float("nan")}
 
 
+def _huge_z0(doc):
+    doc["z0"][1] = 10**400  # an integer too large for a float
+
+
 def _short_z0(doc):
     doc["z0"] = doc["z0"][:2]
 
@@ -309,6 +315,19 @@ def _set_x(variant, **fields):
             _set_x("entry_mask", order=2, rows=[0, 1], cols=[0], values=[1.0, 1.0]),
             ["set X (entry_mask)", "equal length"],
         ),
+        (_huge_z0, ["instance", "'z0'", "too large"]),
+        (
+            _set_x("entry_mask", order=2, rows=[0], cols=[0], values=[10**400]),
+            ["set X (entry_mask)", "'values'", "too large"],
+        ),
+        (
+            _set_x("entry_mask", order=2, rows=[10**20], cols=[0], values=[1.0]),
+            ["set X (entry_mask)", "too large"],
+        ),
+        (
+            _set_x("entry_mask", order=10**20, rows=[0], cols=[0], values=[1.0]),
+            ["set X (entry_mask)", "too large"],
+        ),
     ],
     ids=[
         "missing_field",
@@ -327,6 +346,10 @@ def _set_x(variant, **fields):
         "ellipsoid_lengths_differ",
         "psd_order_zero",
         "mask_lengths_differ",
+        "huge_z0",
+        "huge_mask_value",
+        "huge_mask_row",
+        "huge_mask_order",
     ],
 )
 def test_solve_malformed_instance_is_one_line_usage_error(tmp_path, capsys, edit, words):
@@ -413,6 +436,11 @@ _BAD_KERNEL_IN_SECOND_METHOD = {
     "methods": [{"name": "a"}, {"name": "b", "kernel": "XZ"}],
     "seeds": [0],
 }
+_HUGE_ALPHA = {
+    "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
+    "methods": [{"name": "m", "schedule": {"alpha": 10**400}}],
+    "seeds": [0],
+}
 _ZERO_EPS = {
     "generator": {"family": "ellipsoids", "n": 12, "cond": 5.0},
     "methods": [{"name": "m"}],
@@ -429,7 +457,7 @@ _ZERO_EPS = {
         ('{"generator": {"family": "ellipsoids",', ["not JSON"]),
         (json.dumps(_SAME_NAME_TWICE), ["method name", "'m'", "twice"]),
         (json.dumps(_NAME_WITH_SLASH), ["method name", "'a/b'", "file-name component"]),
-        (json.dumps(_NEGATIVE_COND), ["'generator'", "condition number", "-1"]),
+        (json.dumps(_NEGATIVE_COND), ["'generator'", "'cond'", "[1, inf)", "-1"]),
         (json.dumps([_BOGUS_METHOD]), ["bench config", "not a JSON object"]),
         (json.dumps(_SAME_SEED_TWICE), ["seed 0", "twice"]),
         (json.dumps(_MISSPELLED_FIELDS), ["bench config", "unknown field", "'max_iters'"]),
@@ -438,6 +466,7 @@ _ZERO_EPS = {
         (json.dumps(_MAP_WITH_SCHEDULE), ["method 'map_b'", "map takes no kernel or schedule"]),
         (json.dumps(_BAD_KERNEL_IN_SECOND_METHOD), ["method 'b'", "kernel token", "'Z'"]),
         (json.dumps(_ZERO_EPS), ["usage error: eps must be positive"]),
+        (json.dumps(_HUGE_ALPHA), ["method 'm'", "'alpha'", "too large"]),
     ],
     ids=[
         "missing_generator_parameter",
@@ -454,6 +483,7 @@ _ZERO_EPS = {
         "map_with_schedule",
         "bad_kernel_in_second_method",
         "zero_eps",
+        "huge_alpha",
     ],
 )
 def test_bench_malformed_config_is_one_line_usage_error(tmp_path, capsys, text, words):
@@ -486,7 +516,7 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         (_SOLVE + ["--eps", "nan"], ["eps", "nan"]),
         (_SOLVE + ["--eps", "inf"], ["eps", "inf"]),
         (["gen", "--family", "ellipsoids", "--n", "30", "--cond", "inf", "--out", "i.json"],
-         ["condition"]),
+         ["'cond'", "[1, inf)"]),
         (_SOLVE + ["--max-iter", "0"], ["max_iter"]),
         (["solve", "--eps", "1e-8"], ["--instance", "--family"]),
         (["bench"], ["--config"]),
@@ -508,6 +538,11 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         (_SOLVE + ["--method", "map", "--kernel", "YXY"], ["map takes no kernel"]),
         (_SOLVE + ["--method", "map", "--schedule", "vanishing"],
          ["map takes no kernel or schedule"]),
+        # more seeds than a list can hold, though each lies in [0, 2**128)
+        (["bench", "--config", "cfg.json", "--seed-range", f"0..{10**29}"],
+         ["--seed-range", "too large"]),
+        (["oracle-check", "invariants", "--seed-range", f"0..{10**29}"],
+         ["--seed-range", "too large"]),
     ],
     ids=[
         "empty_table",
@@ -538,6 +573,8 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         "instance_with_seed",
         "map_with_kernel",
         "map_with_schedule",
+        "bench_seed_range_too_long",
+        "oracle_seed_range_too_long",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
@@ -555,6 +592,16 @@ def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     for word in words:
         assert word in err
     assert sorted(os.listdir(tmp_path)) == ["binary.json", "cfg.json"]  # none written
+
+
+def test_library_error_is_one_line_error_and_exit_1(monkeypatch, capsys):
+    def failing(pair, cfg):
+        raise EigenFailure("eigh did not converge")
+
+    monkeypatch.setattr(cfeas.cli, "solve", failing)
+    assert main(_SOLVE) == EXIT_RUN_FAILURE
+    err = capsys.readouterr().err
+    assert err == "error: eigh did not converge\n"
 
 
 def test_python_dash_m_runs_the_command_line(tmp_path):
@@ -604,13 +651,13 @@ _PARAMS = {key: read for _, fields in GENERATORS.values() for key, read, *_ in f
 
 @pytest.mark.parametrize("command", list(_OWN_FLAGS))
 def test_generator_flags_are_the_generator_parameters(command):
-    """One flag per distinct GENERATORS parameter, typed by its reader and
-    without a default, plus --family and --seed."""
+    """One flag per distinct GENERATORS parameter, typed by its reader's
+    schema type and without a default, plus --family and --seed."""
     actions = {s: a for a in _subparser(command)._actions for s in a.option_strings}
     flags = {"--" + key.replace("_", "-"): key for key in _PARAMS}
     assert set(actions) - _OWN_FLAGS[command] == {"--family", "--seed", *flags}
     for flag, key in flags.items():
-        assert actions[flag].type is {read_int: int, read_number: float}[_PARAMS[key]]
+        assert actions[flag].type is {"integer": int, "number": float}[_PARAMS[key].schema["type"]]
         assert actions[flag].default is None
 
 

@@ -2,9 +2,10 @@
 loader `ExperimentConfig.from_json` read one format: both come from the field
 tables in `cfeas.problems`, and these tests hold them to the same verdict.
 
-JSON Schema states types, required fields and the known families, kinds and
-methods.  The range checks it does not state are listed by name below; each
-is a document the schema accepts and the loader rejects.
+JSON Schema states types, required fields, the known families, kinds and
+methods, and the seed and generator parameter ranges.  The range checks it
+does not state are listed by name below; each is a document the schema
+accepts and the loader rejects.
 """
 import copy
 import json
@@ -94,6 +95,11 @@ AGREED = {
     "unknown_generator_key": _generator(tangency_gp=0.5),
     "seed_negative": _with(seeds=[-1]),
     "seed_not_below_2_128": _with(seeds=[2**128]),
+    # generator parameter ranges, checked without generating an instance
+    "cond_below_one": _generator(cond=-1),
+    "n_zero": _generator(n=0),
+    "tangency_gap_outside_0_1": _generator(tangency_gap=1.0),
+    "theta_outside_0_pi_2": _with(generator={"family": "halfspace_wedge", "n": 4, "theta": 2.0}),
 }
 
 # range checks that only the loader makes: the schema accepts these documents
@@ -109,14 +115,10 @@ LOADER_ONLY = {
     "method_name_given_twice": _with(methods=[{"name": "m"}, {"name": "m", "method": "map"}]),
     "method_name_not_one_file_name_component": _method(name="a/b"),
     "seed_given_twice": _with(seeds=[0, 0, 1]),
-    # generator parameter ranges, checked without generating an instance
-    "cond_below_one": _generator(cond=-1),
-    "n_zero": _generator(n=0),
-    "tangency_gap_outside_0_1": _generator(tangency_gap=1.0),
+    # the one generator range that spans two parameters
     "rank_not_below_n": _with(
         generator={"family": "matrix_completion", "n": 4, "rank": 4, "obs_frac": 0.5}
     ),
-    "theta_outside_0_pi_2": _with(generator={"family": "halfspace_wedge", "n": 4, "theta": 2.0}),
     # JSON Schema's "integer" admits a number with a zero fraction
     "integral_float_where_integer_belongs": _with(max_iter=100.0),
 }

@@ -11,11 +11,11 @@ from cfeas.errors import InvalidSpec
 from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, distance, stopping_gap
 from cfeas.problems import (
     generate,
-    load_pair,
     make_rng,
     pair_from_json,
     pair_to_json,
-    save_pair,
+    random_set,
+    read_json,
 )
 
 MEMBERSHIP_RTOL = 1e-12
@@ -186,6 +186,19 @@ def test_matrix_completion_target_one_stops_after_one_draw():
     assert sizes == {1, 2}
 
 
+def test_random_entry_mask_pins_each_draw_and_its_transpose_in_row_major_order():
+    for seed in range(200):
+        order = 1 + seed % 9
+        mask = random_set("entry_mask", make_rng(seed), order=order)
+        rng = make_rng(seed)
+        rng.standard_normal((order, order))
+        pinned = set()
+        for flat in rng.permutation(order * order)[: max(1, order * order // 3)].tolist():
+            i, j = divmod(flat, order)
+            pinned |= {(i, j), (j, i)}
+        assert list(zip(mask.rows.tolist(), mask.cols.tolist())) == sorted(pinned)
+
+
 def test_ellipsoids_interior_margin():
     for seed in range(5):
         pair = generate("ellipsoids", seed, n=30, cond=20.0, tangency_gap=1e-3)
@@ -196,6 +209,14 @@ def test_ellipsoids_interior_margin():
         assert _form(pair.Y, pair.s_ref) == pytest.approx(1.0 - 1e-3, abs=1e-12)
         assert _contains(pair.X, pair.s_ref)
         assert _contains(pair.Y, pair.s_ref)
+
+
+def test_ellipsoids_tangent_at_margin_zero():
+    # margin 0 puts s_ref on the boundary of both ellipsoids
+    for seed in range(5):
+        pair = generate("ellipsoids", seed, n=30, cond=20.0, tangency_gap=0.0)
+        assert _form(pair.X, pair.s_ref) == pytest.approx(1.0, abs=1e-12)
+        assert _form(pair.Y, pair.s_ref) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ellipsoids_interior_point_probe():
@@ -236,11 +257,9 @@ def test_ellipsoids_z0_scale():
 def test_ellipsoids_invalid_params():
     with pytest.raises(InvalidSpec):
         generate("ellipsoids", 0, n=10, cond=0.5, tangency_gap=1e-3)
-    with pytest.raises(InvalidSpec):
-        generate("ellipsoids", 0, n=10, cond=20.0, tangency_gap=0.0)
     # NaN passes `cond < 1` and would give an isotropic instance; inf overflows
     for cond in (float("nan"), float("inf")):
-        with pytest.raises(InvalidSpec, match="condition number"):
+        with pytest.raises(InvalidSpec, match=r"'cond': must lie in \[1, inf\)"):
             generate("ellipsoids", 0, n=10, cond=cond, tangency_gap=1e-3)
 
 
@@ -263,7 +282,7 @@ def test_wedge_invalid_theta():
 
 
 def test_wedge_needs_dimension_two():
-    with pytest.raises(InvalidSpec, match="dimension >= 2"):
+    with pytest.raises(InvalidSpec, match=r"'n': must lie in \[2, inf\)"):
         generate("halfspace_wedge", 0, n=1, theta=0.5)
 
 
@@ -285,7 +304,7 @@ def test_generate_dispatch_and_unknown_family():
         generate("simplex", 0, n=3)
     with pytest.raises(InvalidSpec, match="ellipsoids generator: unknown field 'theta'"):
         generate("ellipsoids", 0, n=10, cond=5.0, theta=1.0)
-    with pytest.raises(InvalidSpec, match="seed must lie in"):
+    with pytest.raises(InvalidSpec, match=r"'seed': must lie in \[0, 2\*\*128\)"):
         generate("ellipsoids", -1, n=10, cond=5.0)
     for seed in (True, 1.5, "0", None):
         with pytest.raises(InvalidSpec) as raised:
@@ -309,8 +328,9 @@ def test_json_roundtrip_all_families(tmp_path):
         assert back.metadata == pair.metadata
         assert type(back.X) is type(pair.X)
         path = tmp_path / f"inst{idx}.json"
-        save_pair(pair, path)
-        loaded = load_pair(path)
+        with open(path, "w") as fh:
+            json.dump(pair_to_json(pair), fh)
+        loaded = pair_from_json(read_json(path, "instance"))
         assert np.array_equal(loaded.z0, pair.z0)
         assert distance(loaded.X, pair.z0) == pytest.approx(
             distance(pair.X, pair.z0), abs=1e-12

@@ -12,7 +12,7 @@ from cfeas.bench import write_trace_csv
 from cfeas.errors import InsufficientTrace, InvalidKernel, InvalidSchedule, InvalidSpec
 from cfeas.geometry import EntryMask, Halfspace, ProblemPair, distance, project
 from cfeas.operators import KernelSpec, circumcentered_step
-from cfeas.problems import _ellipsoids, generate, make_rng
+from cfeas.problems import generate
 from cfeas.solver import (
     CLASS_INCONCLUSIVE,
     CLASS_LINEAR,
@@ -243,7 +243,7 @@ def test_tangent_ellipsoids_converge_under_every_schedule(schedule, seed):
     # margin 0: the ellipsoids touch only at the origin, so near the solution
     # the two normals are almost antiparallel; the step must stay accurate
     # there instead of falling back to P_X n, which stalls the gap near 1e-12
-    pair = _ellipsoids(100, 20.0, 0.0, make_rng(seed))
+    pair = generate("ellipsoids", seed, n=100, cond=20.0, tangency_gap=0.0)
     cfg = SolverConfig(kernel="XY", schedule=schedule, eps=1e-12, max_iter=2000)
     assert solve(pair, cfg).status == STATUS_CONVERGED
 

@@ -10,11 +10,11 @@ every record field except `wall_ns`, the failure text and the final point.
 The instances cover the three generator families, a parameter left to its
 default, integer-valued numbers, the instances of run seed 0 of each
 benchmark workload, read from `perfbench/workloads.py`, and two tangent
-ellipsoid pairs (margin 0, which only the private builder makes).  The
-solves cover the three families with every kernel shape, both schedules and
-MAP, iteration caps of 1, 2 and 7, failures at z0 and mid-run, the benchmark
-workloads' instances with their methods, and the tangent pairs, where
-normals near antiparallel test the step's accuracy.
+ellipsoid pairs (margin 0, built by the private builder, so their documents
+hold no metadata).  The solves cover the three families with every kernel
+shape, both schedules and MAP, iteration caps of 1, 2 and 7, failures at z0
+and mid-run, the benchmark workloads' instances with their methods, and the
+tangent pairs, where normals near antiparallel test the step's accuracy.
 """
 from __future__ import annotations
 
