@@ -5,6 +5,10 @@ factor is P_Y, so its image lies in Y and it is quasi-nonexpansive relative to
 the intersection.  The centralizer interpolates between the kernel output and
 its X-projection; its output is always centralized, which is what makes the
 circumcenter step behave like a projection onto supporting halfspaces.
+
+The step and `pcrm` take the projections their caller holds, unchecked; the
+kernel's later tokens go through the checked `project`, and `pcrm` raises
+NonconvergedProjection on a non-finite inner product.
 """
 from __future__ import annotations
 
@@ -17,6 +21,11 @@ from .geometry import ProblemPair, as_point, project
 # itself shrinks like gap^2, so any fixed absolute scale would disable the
 # circumcenter acceleration long before tight tolerances are reached.
 STEP_COSINE_TOL = 1e-8
+# A normal dx = z - P_X z (or dy) no longer than this times ||z||, 256 units in
+# the last place, is rounding noise in direction, which near antiparallel
+# normals magnify into a step far off.  A centralized n meets it when
+# alpha ||t - P_X t|| is that small, as n holds no smaller offset from P_X t.
+STEP_NORMAL_RTOL = 2.0**-44
 
 
 class KernelSpec(str):
@@ -45,22 +54,19 @@ class KernelSpec(str):
 KERNEL_STANDARD = KernelSpec("XY")
 
 
-def apply_kernel(spec: KernelSpec, pair: ProblemPair, z, first=None):
-    """Apply the kernel's projection composition to z.
+def apply_kernel(spec: KernelSpec, pair: ProblemPair, first):
+    """Apply the kernel's projection composition, its innermost token done.
 
-    `first`, if given, is the projection of z onto the set of the innermost
-    token, already computed by the caller; only the remaining tokens are then
-    applied.
+    `first` is the point projected onto the set of the innermost token, as
+    the caller already holds it (the solver's stopping gap made it); the
+    remaining tokens spec[1:] are applied here.
 
     Each projection here is checked: after two or more of them a later one
     can overwrite a non-finite entry (the EntryMask projection rewrites the
     pinned entries), so a check on the result alone would miss it.
     """
-    if first is None:
-        out, tokens = as_point(z), spec
-    else:
-        out, tokens = as_point(first), spec[1:]
-    for tok in tokens:
+    out = first
+    for tok in spec[1:]:
         out = project(pair.X if tok == "X" else pair.Y, out)
     return out
 
@@ -80,10 +86,12 @@ def centralize(pair: ProblemPair, t_point, alpha: float):
     return n_point, px_t
 
 
-def _strictly_centralized(norm_dx: float, norm_dy: float, ip: float) -> bool:
+def _strictly_centralized(norm_z: float, norm_dx: float, norm_dy: float, ip: float) -> bool:
     """Whether the angle between dx = z - P_X z and dy = z - P_Y z is genuinely
-    obtuse, from ip = <dx, dy> and the two norms."""
-    return ip < -STEP_COSINE_TOL * norm_dx * norm_dy
+    obtuse, from ip = <dx, dy>, the two norms and ||z||; a normal within
+    rounding of z has no angle to judge."""
+    resolved = min(norm_dx, norm_dy) > STEP_NORMAL_RTOL * norm_z
+    return resolved and ip < -STEP_COSINE_TOL * norm_dx * norm_dy
 
 
 def circumcenter(z, dx, dy, norm_dx: float, norm_dy: float):
@@ -110,28 +118,24 @@ def circumcenter(z, dx, dy, norm_dx: float, norm_dy: float):
     return z - ((norm_dx + norm_dy) * w - e * (norm_dy * u + norm_dx * v)) / (e * (2.0 - e))
 
 
-def pcrm(pair: ProblemPair, z, px=None, py=None):
-    """Circumcenter of z with its two reflections across X and Y.
+def pcrm(z, px, py):
+    """Circumcenter of z with its two reflections across X and Y, from
+    px = P_X z and py = P_Y z.
 
     Returns (next point, <z - P_X z, z - P_Y z>).  At a strictly centralized
     z the circumcenter is the projection onto the two supporting hyperplanes
     at P_X z and P_Y z (Behling, Bello-Cruz, Iusem, Liu & Santos, Math.
     Program. 2024), taken in closed form from the two normals.  A z that is
     not strictly centralized, a point of Y included (its inner product is
-    0), and exactly antiparallel normals, where the hyperplanes are parallel,
-    give P_X z.
+    0) and a normal within rounding of z (STEP_NORMAL_RTOL), and exactly
+    antiparallel normals, where the hyperplanes are parallel, give P_X z.
 
-    `px`/`py`, when handed in, are not checked; a non-finite entry in either
-    raises NonconvergedProjection through the inner product, where it would
-    otherwise fail the strictness test and be replaced by P_X z.
+    The caller's projections are taken unchecked; a non-finite entry in
+    either raises NonconvergedProjection through the inner product, where it
+    would otherwise fail the strictness test and be replaced by P_X z.
 
     Norms are math.sqrt(float(v.dot(v))), the bits of numpy's 1-D norm.
     """
-    z = as_point(z)
-    if px is None:
-        px = project(pair.X, z)
-    if py is None:
-        py = project(pair.Y, z)
     dx = z - px
     dy = z - py
     ip = float(dx.dot(dy))
@@ -139,21 +143,22 @@ def pcrm(pair: ProblemPair, z, px=None, py=None):
         raise NonconvergedProjection("projection produced non-finite entries")
     norm_dx = math.sqrt(float(dx.dot(dx)))
     norm_dy = math.sqrt(float(dy.dot(dy)))
-    if _strictly_centralized(norm_dx, norm_dy, ip):
+    if _strictly_centralized(math.sqrt(float(z.dot(z))), norm_dx, norm_dy, ip):
         c = circumcenter(z, dx, dy, norm_dx, norm_dy)
         if c is not None:
             return c, ip
     return px.copy(), ip
 
 
-def circumcentered_step(pair: ProblemPair, z, alpha: float, spec: KernelSpec, first=None):
-    """One solver step: kernel, centralizer, then `pcrm` at the centralized n.
+def circumcentered_step(pair: ProblemPair, first, alpha: float, spec: KernelSpec):
+    """One solver step from z, given as `first`: z projected onto the set of
+    the kernel's innermost token, the projection the solver's stopping gap
+    already made.  Kernel, centralizer, then `pcrm` at the centralized n.
 
-    Returns (next point, <n - P_X n, n - P_Y n>).  The step applies the
-    kernel plus P_X(t) and P_Y(n); when `first` (z projected onto the set of
-    the kernel's innermost token) is handed in, as the solver does with the
-    projection its stopping gap already made, the kernel skips that one.
+    Returns (next point, <n - P_X n, n - P_Y n>).  Beyond `first`, the step
+    applies the kernel's remaining tokens (checked, see `apply_kernel`) plus
+    P_X(t) and P_Y(n), which `pcrm` takes unchecked.
     """
-    t_point = apply_kernel(spec, pair, z, first)
+    t_point = apply_kernel(spec, pair, first)
     n_point, px_t = centralize(pair, t_point, alpha)
-    return pcrm(pair, n_point, px_t, pair.Y._project(n_point))
+    return pcrm(n_point, px_t, pair.Y._project(n_point))

@@ -17,8 +17,6 @@ characteristic inequality.
 """
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import operators
@@ -118,13 +116,9 @@ def project_two_halfspaces(z, a1, b1: float, a2, b2: float) -> np.ndarray:
     return min(candidates, key=lambda x: float(np.linalg.norm(x - z)))
 
 
-def supporting_halfspace_projection(
-    pair: ProblemPair,
-    z,
-    px: Optional[np.ndarray] = None,
-    py: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Project z onto the intersection of its two supporting halfspaces.
+def supporting_halfspace_projection(z, px, py) -> np.ndarray:
+    """Project z onto the intersection of its two supporting halfspaces, from
+    px = P_X z and py = P_Y z.
 
     The supporting halfspace of X at P_X z has normal z - P_X z and passes
     through P_X z (similarly for Y).  A vanishing normal means z lies in the
@@ -133,11 +127,6 @@ def supporting_halfspace_projection(
     a distance: with normals as short as z's distances to the sets, a z
     within about 1e-5 of both would pass it and come back unprojected.
     """
-    z = as_point(z)
-    if px is None:
-        px = project(pair.X, z)
-    if py is None:
-        py = project(pair.Y, z)
     scale = 1e-12 * (1.0 + float(np.linalg.norm(z)))
     active = []
     for p in (px, py):
@@ -240,11 +229,12 @@ def _check_circumcenter(seeds) -> list:
         while True:
             y = project(pair.Y, c1 + 0.5 * offset + random_point(dim, rng, scale=1.0))
             n, _ = operators.centralize(pair, y, float(rng.uniform(0.2, 0.8)))
-            nx, ny = n - project(pair.X, n), n - project(pair.Y, n)
+            px, py = project(pair.X, n), project(pair.Y, n)
+            nx, ny = n - px, n - py
             if float(nx @ ny) < -1e-6 * float(np.linalg.norm(nx) * np.linalg.norm(ny)):
                 break
-        got, _ = operators.pcrm(pair, n)
-        want = supporting_halfspace_projection(pair, n)
+        got, _ = operators.pcrm(n, px, py)
+        want = supporting_halfspace_projection(n, px, py)
         err = float(np.linalg.norm(got - want))
         if err > 1e-8 * (1.0 + np.linalg.norm(want)):
             failures.append({"seed": seed, "case": "pcrm-vs-qp", "error": err})

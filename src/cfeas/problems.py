@@ -286,11 +286,15 @@ def _read_generator(doc):
 def generate(family: str, seed: int, **params) -> ProblemPair:
     """The seeded `family` instance, the one way to build one.  InvalidSpec
     for a parameter the family does not take, a missing one or one out of
-    its range, then for a seed that is not an integer in [0, 2**128).  The
-    metadata lists the family, its parameters, a wedge's omega and the seed."""
+    its range, then for a seed that is not an integer in [0, 2**128), and
+    for a size numpy cannot build.  The metadata lists the family, its
+    parameters, a wedge's omega and the seed."""
     build, params = _read_generator({**params, "family": family})
     (seed,) = read_fields({"seed": seed}, f"{family} generator", (("seed", read_seed),))
-    pair = build(*params.values(), make_rng(seed))
+    try:
+        pair = build(*params.values(), make_rng(seed))
+    except (ValueError, OverflowError, MemoryError) as exc:  # n beyond numpy's array sizes
+        raise InvalidSpec(f"{family} generator: cannot build {params}: {exc}") from None
     pair.metadata = {"family": family, **params, **pair.metadata, "seed": seed}
     return pair
 

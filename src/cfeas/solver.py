@@ -189,7 +189,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
         try:
             if k and crm:
                 alpha = cfg.schedule(k - 1)
-                z, ip = circumcentered_step(pair, z, alpha, cfg.kernel, px if lead_x else py)
+                z, ip = circumcentered_step(pair, px if lead_x else py, alpha, cfg.kernel)
             elif k:
                 z = pair.X._project(py)
             delta, px, py = stopping_gap(pair, z, px=z if k and not crm else None)

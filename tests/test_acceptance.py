@@ -150,8 +150,8 @@ def test_criterion_2_circumcenter_correctness():
         if float((z - px) @ (z - py)) >= -1e-10:
             continue
         strict += 1
-        got, _ = pcrm(pair, z, px=px, py=py)
-        want = supporting_halfspace_projection(pair, z, px=px, py=py)
+        got, _ = pcrm(z, px, py)
+        want = supporting_halfspace_projection(z, px, py)
         worst_qp = max(
             worst_qp, np.linalg.norm(got - want) / (1.0 + np.linalg.norm(want))
         )
@@ -182,7 +182,10 @@ def is_strictly_centralized(pair: ProblemPair, z) -> bool:
     dx = z - project(pair.X, z)
     dy = z - project(pair.Y, z)
     return _strictly_centralized(
-        math.sqrt(float(dx.dot(dx))), math.sqrt(float(dy.dot(dy))), float(dx.dot(dy))
+        math.sqrt(float(z.dot(z))),
+        math.sqrt(float(dx.dot(dx))),
+        math.sqrt(float(dy.dot(dy))),
+        float(dx.dot(dy)),
     )
 
 
@@ -203,9 +206,9 @@ def test_criterion_3_centralization_invariant():
         )
         z = rng.standard_normal(dim) * 4.0
         alpha = float(rng.uniform(0.05, 0.95))
-        t = apply_kernel(KERNEL_STANDARD, pair, z)
+        t = apply_kernel(KERNEL_STANDARD, pair, project(pair.X, z))
         n, _ = centralize(pair, t, alpha)
-        ip = pcrm(pair, n)[1]
+        ip = pcrm(n, project(pair.X, n), project(pair.Y, n))[1]
         scale = (1.0 + float(np.linalg.norm(n))) ** 2
         worst = max(worst, ip / scale)
         # t lies in P_Y(X) by construction; off the intersection the
@@ -395,11 +398,13 @@ def test_criterion_7_matrix_completion_trend(solve_recording):
         for pair, zs in zip(pairs, half_runs[kernel_name]):
             for z, nxt in zip(zs, zs[1:]):
                 scale = 1.0 + float(np.linalg.norm(nxt))
+                px = project(pair.X, z)
                 for alpha in (0.25, 0.75):
-                    step, _ = circumcentered_step(pair, z, alpha, kernel)
+                    step, _ = circumcentered_step(pair, px, alpha, kernel)
                     worst_alpha = max(worst_alpha, float(np.linalg.norm(step - nxt)) / scale)
                 if kernel_name == "XY":
-                    step, _ = circumcentered_step(pair, z, 0.5, KernelSpec.from_string("YXY"))
+                    py = project(pair.Y, z)
+                    step, _ = circumcentered_step(pair, py, 0.5, KernelSpec.from_string("YXY"))
                     worst_yxy = max(worst_yxy, float(np.linalg.norm(step - nxt)) / scale)
             if kernel_name == "XY":
                 for z in zs:
@@ -462,6 +467,36 @@ def test_criterion_8_ellipsoid_schedule_trend():
         f"vanishing schedule saves {100 * reduction:.1f}% iterations, below the "
         f"required 5% (constant {mean_c:.1f} vs vanishing {mean_v:.1f})"
     )
+
+
+def test_criterion_8_alpha_moves_the_step_at_second_order(solve_recording):
+    """README's account of criterion 8's failure: at each Constant(0.5)
+    iterate of its runs with a gap of at least 1e-5, the alpha = 0.25 and
+    0.75 steps differ by at most 0.161 gap (measured: 0.16015), and by a
+    median of at most 30 gap^2 (measured: 28.95)."""
+    first_order, second_order = [], []
+    for seed in range(10):
+        pair = generate("ellipsoids", seed, n=200, cond=20.0)
+        trace, zs = solve_recording(
+            pair, SolverConfig(schedule=Constant(0.5), eps=1e-12, max_iter=50000)
+        )
+        for record, z in zip(trace.records, zs):
+            gap = record.delta
+            if gap < 1e-5:
+                continue
+            px = project(pair.X, z)
+            low, _ = circumcentered_step(pair, px, 0.25, KERNEL_STANDARD)
+            high, _ = circumcentered_step(pair, px, 0.75, KERNEL_STANDARD)
+            moved = float(np.linalg.norm(low - high))
+            first_order.append(moved / gap)
+            second_order.append(moved / gap**2)
+    print(
+        f"{len(first_order)} iterates: max |step(.25) - step(.75)| / gap "
+        f"{max(first_order):.5f}, median / gap^2 {float(np.median(second_order)):.2f}"
+    )
+    assert len(first_order) >= 50
+    assert max(first_order) <= 0.161
+    assert float(np.median(second_order)) <= 30.0
 
 
 # each kernel's projections per iteration: its own, P_X t, P_Y n

@@ -8,13 +8,13 @@ import pytest
 
 import cfeas.operators
 from cfeas.geometry import Ball, Halfspace, ProblemPair, project
-from cfeas.operators import centralize, circumcenter, pcrm
+from cfeas.operators import KernelSpec, centralize, circumcenter, circumcentered_step, pcrm
 from cfeas.oracles import (
     circumcenter_residuals,
     oracle_check,
     supporting_halfspace_projection,
 )
-from cfeas.problems import make_rng
+from cfeas.problems import generate, make_rng
 from test_acceptance import closed_form_center, is_strictly_centralized
 
 
@@ -61,7 +61,8 @@ def test_pcrm_obtuse_wedge_reaches_apex():
     # X = {x1 <= 0}, Y = {-0.6 x1 + 0.8 x2 <= 0}: (1, 1) lies in the normal
     # cone of X ∩ Y at the origin, and both reflections keep its norm
     pair = _wedge([-0.6, 0.8])
-    out, ip = pcrm(pair, np.array([1.0, 1.0]))
+    z = np.array([1.0, 1.0])
+    out, ip = pcrm(z, project(pair.X, z), project(pair.Y, z))
     assert np.allclose(out, [0.0, 0.0], atol=1e-12)
     assert ip == pytest.approx(-0.12, abs=1e-15)
 
@@ -76,7 +77,7 @@ def test_pcrm_takes_px_exactly_when_not_strictly_centralized(eps, strict):
     # at (1, 1) is about -eps, against the strictness threshold 1e-8
     pair = _wedge([-math.sin(eps), math.cos(eps)])
     z = np.array([1.0, 1.0])
-    out, _ = pcrm(pair, z)
+    out, _ = pcrm(z, project(pair.X, z), project(pair.Y, z))
     assert is_strictly_centralized(pair, z) == strict
     if strict:
         assert np.allclose(out, [0.0, 0.0], atol=1e-12)
@@ -92,7 +93,7 @@ def test_pcrm_at_a_point_of_y_takes_the_strictness_branch():
     pair = ProblemPair(X=X, Y=Y, z0=np.zeros(3))
     for z in ([3.0, 0.0, 0.0], [0.0, 0.6, 0.2], [0.0, 0.0, 0.9]):
         z = np.array(z)
-        out, ip = pcrm(pair, z)
+        out, ip = pcrm(z, project(pair.X, z), project(pair.Y, z))
         assert ip == 0.0
         assert not is_strictly_centralized(pair, z)
         assert np.array_equal(out, project(pair.X, z))
@@ -109,7 +110,7 @@ def test_pcrm_takes_px_on_nested_halfspaces_with_one_normal(inner):
     z = np.array([3.0, -2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out, ip = pcrm(pair, z)
+        out, ip = pcrm(z, project(pair.X, z), project(pair.Y, z))
     assert ip > 0.0
     assert np.array_equal(out, project(pair.X, z))
 
@@ -142,8 +143,8 @@ def test_pcrm_matches_supporting_halfspace_qp_on_centralized_points():
         py = project(pair.Y, z)
         if float((z - px) @ (z - py)) < -1e-10:
             strict += 1
-        out, _ = pcrm(pair, z, px=px, py=py)
-        ref = supporting_halfspace_projection(pair, z, px=px, py=py)
+        out, _ = pcrm(z, px, py)
+        ref = supporting_halfspace_projection(z, px, py)
         assert np.linalg.norm(out - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
         if is_strictly_centralized(pair, z):
             # the closed form against an exact rational solve of the Gram
@@ -189,7 +190,7 @@ def test_pcrm_is_accurate_at_nearly_antiparallel_normals(eps):
         b2 = float(a2 @ (z - rng.uniform(0.1, 2.0) * a2))
         pair = ProblemPair(X=Halfspace(a1, b1), Y=Halfspace(a2, b2), z0=z)
         px, py = project(pair.X, z), project(pair.Y, z)
-        got, _ = pcrm(pair, z, px=px, py=py)
+        got, _ = pcrm(z, px, py)
         want = _exact_step(z, px, py)
         err = math.sqrt(sum((Fraction(float(g)) - w) ** 2 for g, w in zip(got, want)))
         step = math.sqrt(sum((w - Fraction(float(t))) ** 2 for w, t in zip(want, z)))
@@ -206,10 +207,24 @@ def test_pcrm_takes_px_at_exactly_antiparallel_normals():
         z0=np.zeros(3),
     )
     for z in (np.array([0.5, 0.3, -2.0]), np.array([0.25, 0.0, 7.0])):
-        out, ip = pcrm(pair, z)
+        out, ip = pcrm(z, project(pair.X, z), project(pair.Y, z))
         assert ip < 0.0 and is_strictly_centralized(pair, z)
         assert np.isfinite(out).all()
         assert np.array_equal(out, project(pair.X, z))
+
+
+@pytest.mark.parametrize("alpha, noise", [(1e-13, True), (1e-6, False)])
+def test_step_takes_px_when_a_normal_is_rounding_noise(alpha, noise):
+    # a wedge whose normals meet at pi - 0.03: at alpha = 1e-13 the
+    # centralized n lies about 14 ulps from P_X t, so n - P_X n has no
+    # direction to speak of, and a circumcenter taken from it landed 24 times
+    # farther from the apex than z0; at alpha = 1e-6 the normal is resolved
+    pair = generate("halfspace_wedge", 0, n=2, theta=0.03125)
+    first = project(pair.Y, pair.z0)
+    _, px_t = centralize(pair, first, alpha)
+    out, _ = circumcentered_step(pair, first, alpha, KernelSpec("Y"))
+    assert np.array_equal(out, px_t) == noise
+    assert np.linalg.norm(out - pair.s_ref) < np.linalg.norm(pair.z0 - pair.s_ref)
 
 
 def test_pcrm_calls_the_closed_form_only_below_e_one(monkeypatch):
@@ -224,14 +239,17 @@ def test_pcrm_calls_the_closed_form_only_below_e_one(monkeypatch):
         return inner(z, dx, dy, norm_dx, norm_dy)
 
     monkeypatch.setattr(cfeas.operators, "circumcenter", recorded)
+    z = np.array([1.0, 1.0])
     for eps in np.geomspace(1e-9, 1e-7, 41):
-        pcrm(_wedge([-math.sin(eps), math.cos(eps)]), np.array([1.0, 1.0]))
+        pair = _wedge([-math.sin(eps), math.cos(eps)])
+        pcrm(z, project(pair.X, z), project(pair.Y, z))
     rng = make_rng(29)
     for _ in range(1000):
         dim = int(rng.integers(2, 6))
         a1, a2 = rng.standard_normal(dim), rng.standard_normal(dim)
         pair = ProblemPair(X=Halfspace(a1, 0.0), Y=Halfspace(a2, 0.0), z0=np.zeros(dim))
-        pcrm(pair, rng.standard_normal(dim))
+        z = rng.standard_normal(dim)
+        pcrm(z, project(pair.X, z), project(pair.Y, z))
     assert len(seen) >= 100
     assert max(seen) < 1.0
 
@@ -280,7 +298,7 @@ def test_supporting_halfspace_projection_projects_a_point_just_outside_both_sets
     )
     z = np.array([0.0, 0.6 + 1e-6])
     px, py = project(pair.X, z), project(pair.Y, z)
-    got = supporting_halfspace_projection(pair, z, px=px, py=py)
+    got = supporting_halfspace_projection(z, px, py)
     want = _exact_step(z, px, py)
     err = math.sqrt(sum((Fraction(float(g)) - w) ** 2 for g, w in zip(got, want)))
     assert np.linalg.norm(got - z) > 5e-7

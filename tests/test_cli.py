@@ -543,6 +543,11 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
          ["--seed-range", "too large"]),
         (["oracle-check", "invariants", "--seed-range", f"0..{10**29}"],
          ["--seed-range", "too large"]),
+        # an n that numpy rejects before it allocates
+        (["gen", "--family", "ellipsoids", "--n", str(10**20), "--cond", "2", "--out", "i.json"],
+         ["ellipsoids generator", "Maximum allowed dimension exceeded"]),
+        (["solve", "--family", "halfspace_wedge", "--n", str(10**20), "--theta", "0.5"],
+         ["halfspace_wedge generator", "Maximum allowed dimension exceeded"]),
     ],
     ids=[
         "empty_table",
@@ -575,6 +580,8 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         "map_with_schedule",
         "bench_seed_range_too_long",
         "oracle_seed_range_too_long",
+        "gen_n_beyond_numpy",
+        "solve_n_beyond_numpy",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):

@@ -55,7 +55,7 @@ def test_kernel_image_lies_in_y():
         for _ in range(30):
             pair = _ball_pair(rng)
             z = rng.standard_normal(pair.dim) * 3.0
-            t = apply_kernel(spec, pair, z)
+            t = apply_kernel(spec, pair, project(pair.X if spec[0] == "X" else pair.Y, z))
             assert _contains(pair.Y, t)
 
 
@@ -67,7 +67,7 @@ def test_kernel_quasi_nonexpansive_wrt_intersection():
             # midpoint of the two centers lies in both unit balls (sep < 2)
             s = 0.5 * (pair.X.center + pair.Y.center)
             z = rng.standard_normal(pair.dim) * 3.0
-            t = apply_kernel(spec, pair, z)
+            t = apply_kernel(spec, pair, project(pair.X if spec[0] == "X" else pair.Y, z))
             assert np.linalg.norm(t - s) <= np.linalg.norm(z - s) + 1e-10
 
 
@@ -76,10 +76,10 @@ def test_centralizer_output_is_centralized():
     for _ in range(200):
         pair = _ball_pair(rng, dim=int(rng.integers(2, 7)))
         z = rng.standard_normal(pair.dim) * 3.0
-        t = apply_kernel(KERNEL_STANDARD, pair, z)
+        t = apply_kernel(KERNEL_STANDARD, pair, project(pair.X, z))
         alpha = float(rng.uniform(0.05, 0.95))
         n, px_t = centralize(pair, t, alpha)
-        ip = pcrm(pair, n)[1]
+        ip = pcrm(n, project(pair.X, n), project(pair.Y, n))[1]
         scale = (1.0 + np.linalg.norm(n)) ** 2
         assert ip <= 1e-9 * scale
 
@@ -90,7 +90,7 @@ def test_centralize_reuse_contract():
     for _ in range(50):
         pair = _ball_pair(rng)
         z = rng.standard_normal(pair.dim) * 3.0
-        t = apply_kernel(KERNEL_STANDARD, pair, z)
+        t = apply_kernel(KERNEL_STANDARD, pair, project(pair.X, z))
         n, px_t = centralize(pair, t, 0.3)
         assert np.allclose(project(pair.X, n), px_t, atol=1e-10)
 
@@ -117,7 +117,7 @@ def test_strict_centralization_for_kernel_output_off_intersection():
             X=Ball(c1, 1.0), Y=Ball(c1 + 1.9 * u, 1.0), z0=np.zeros(dim)
         )
         z = rng.standard_normal(dim) * 4.0
-        t = apply_kernel(KERNEL_STANDARD, pair, z)
+        t = apply_kernel(KERNEL_STANDARD, pair, project(pair.X, z))
         if distance(pair.X, t) <= 1e-9:
             continue  # t in S: nothing to test
         n, _ = centralize(pair, t, float(rng.uniform(0.1, 0.9)))
@@ -130,7 +130,8 @@ def test_step_orthogonal_halfspaces_one_shot():
     X = Halfspace(np.array([1.0, 0.0]), 0.0)
     Y = Halfspace(np.array([0.0, 1.0]), 0.0)
     pair = ProblemPair(X=X, Y=Y, z0=np.array([1.0, 1.0]))
-    nxt, _ = circumcentered_step(pair, np.array([1.0, 1.0]), 0.5, KernelSpec.from_string("Y"))
+    first = project(pair.Y, pair.z0)
+    nxt, _ = circumcentered_step(pair, first, 0.5, KernelSpec.from_string("Y"))
     assert np.allclose(nxt, [0.0, 0.0], atol=1e-12)
 
 
@@ -141,5 +142,6 @@ def test_step_never_increases_distance_to_feasible_point():
         s = 0.5 * (pair.X.center + pair.Y.center)
         z = rng.standard_normal(pair.dim) * 3.0
         for spec in _KERNELS:
-            nxt, _ = circumcentered_step(pair, z, float(rng.uniform(0.1, 0.9)), spec)
+            first = project(pair.X if spec[0] == "X" else pair.Y, z)
+            nxt, _ = circumcentered_step(pair, first, float(rng.uniform(0.1, 0.9)), spec)
             assert np.linalg.norm(nxt - s) <= np.linalg.norm(z - s) + 1e-9

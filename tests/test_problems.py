@@ -314,6 +314,21 @@ def test_generate_dispatch_and_unknown_family():
         )
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("matrix_completion", {"rank": 2, "obs_frac": 0.5}),
+        ("ellipsoids", {"cond": 2.0}),
+        ("halfspace_wedge", {"theta": 0.5}),
+    ],
+)
+def test_generate_maps_an_n_numpy_cannot_build_to_invalid_spec(family, params):
+    # numpy rejects a dimension of 10**20 before it allocates anything
+    with pytest.raises(InvalidSpec, match=f"^{family} generator: cannot build .*"
+                       "Maximum allowed dimension exceeded"):
+        generate(family, 0, n=10**20, **params)
+
+
 def test_json_roundtrip_all_families(tmp_path):
     instances = [
         generate("matrix_completion", 0, n=6, rank=2, obs_frac=0.5),

@@ -398,10 +398,10 @@ def test_trace_delta_reaches_eps():
 
 def _reference_solve(pair, cfg):
     """Both drivers with every projection computed afresh: the stopping gap
-    from `distance`, each step without a handed-in projection.  `columns`
-    holds each record's (centralization_ip, alpha, dist_sref, cum_proj_alg,
-    cum_proj_diag): NaN ip and alpha at k = 0 and for MAP, dist_sref from
-    np.linalg.norm, and the counters as running sums.  The diagonal counter
+    from `distance`, each step from its own `project` of z onto the kernel's
+    innermost set.  `columns` holds each record's (centralization_ip, alpha,
+    dist_sref, cum_proj_alg, cum_proj_diag): NaN ip and alpha at k = 0 and
+    for MAP, dist_sref from np.linalg.norm, and the counters as running sums.  The diagonal counter
     adds the projections the solver's gap evaluates: 2 per gap, but 1 per MAP
     gap after z0, which takes P_X z = z."""
     z = pair.z0.copy()
@@ -424,7 +424,8 @@ def _reference_solve(pair, cfg):
             alg += 2
         else:
             alpha = cfg.schedule(k)
-            z, ip = circumcentered_step(pair, z, alpha, cfg.kernel)
+            first = project(pair.X if cfg.kernel[0] == "X" else pair.Y, z)
+            z, ip = circumcentered_step(pair, first, alpha, cfg.kernel)
             alg += len(cfg.kernel) + 2
         diag += 1 if cfg.method == "map" else 2
         record(max(distance(pair.X, z), distance(pair.Y, z)), ip, alpha)

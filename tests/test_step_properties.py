@@ -10,6 +10,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cfeas.geometry import project
 from cfeas.operators import KernelSpec, circumcentered_step
 from cfeas.problems import make_rng
 from test_acceptance import closed_form_center
@@ -61,7 +62,8 @@ def test_step_is_fejer_monotone_toward_the_reference_point(pair, kernel, alpha):
     atol = FEJER_ATOL * (1.0 + float(np.linalg.norm(pair.s_ref)))
     z = pair.z0
     for _ in range(3):
-        nxt, _ = circumcentered_step(pair, z, alpha, spec)
+        first = project(pair.X if spec[0] == "X" else pair.Y, z)
+        nxt, _ = circumcentered_step(pair, first, alpha, spec)
         before = float(np.linalg.norm(z - pair.s_ref))
         assert float(np.linalg.norm(nxt - pair.s_ref)) <= before * (1.0 + FEJER_RTOL) + atol
         z = nxt
