@@ -99,10 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_schedule(text: str):
     """constant:A | vanishing | table:A,B,... read as a schedule document.
     The values fill the named kind's field, or 'value' for a kind that has
-    none, which its reader then rejects as an unknown field."""
-    kind, _, rest = text.partition(":")
+    none, which its reader then rejects as an unknown field.  A colon with
+    nothing after it is an error, not the kind's default."""
+    kind, colon, rest = text.partition(":")
     doc = {"kind": kind}
     try:
+        if colon and not rest:
+            raise InvalidSpec("no value after ':'")
         if rest and kind in SCHEDULES:
             values = [float(v) for v in rest.split(",")]
             for key, read, *_ in SCHEDULES[kind][1] or [("value", None)]:
@@ -133,9 +136,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     flags = ["--" + key.replace("_", "-") for key in _generator_params(args)]
-    if args.instance and flags:
+    if args.instance is not None and flags:
         raise InvalidSpec(f"--instance takes no generator flags, got {' '.join(flags)}")
-    if args.instance:
+    if args.instance is not None:
         pair = pair_from_json(read_json(args.instance, "instance"))
     elif args.family:
         pair = _generate(args)
@@ -144,12 +147,12 @@ def _cmd_solve(args) -> int:
     cfg = SolverConfig(
         method=args.method,
         kernel=args.kernel,
-        schedule=_parse_schedule(args.schedule) if args.schedule else None,
+        schedule=None if args.schedule is None else _parse_schedule(args.schedule),
         eps=args.eps,
         max_iter=args.max_iter,
     )
     trace = solve(pair, cfg)
-    if args.trace_out:
+    if args.trace_out is not None:
         write_trace_csv(trace, args.trace_out)
     print(
         f"status={trace.status} iterations={trace.iterations} "
@@ -169,13 +172,13 @@ def _cmd_bench(args) -> int:
     doc = read_json(args.config, "bench config")
     if not isinstance(doc, dict):
         raise InvalidSpec(f"bench config {args.config}: not a JSON object")
-    if args.seed_range:
+    if args.seed_range is not None:
         doc["seeds"] = _parse_seed_range(args.seed_range)
     if args.eps is not None:
         doc["eps"] = args.eps
     if args.max_iter is not None:
         doc["max_iter"] = args.max_iter
-    if args.out:
+    if args.out is not None:
         doc["output_dir"] = args.out
     config = ExperimentConfig.from_json(doc)
     summary, report = run_matrix(config, jobs=args.jobs)

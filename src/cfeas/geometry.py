@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigenFailure, InvalidSpec, NonconvergedProjection
+from .errors import DimensionMismatch, InvalidSpec, NonconvergedProjection
 
 # Secular-equation solve for the ellipsoid projection
 _ELLIPSOID_RESIDUAL_TOL = 1e-13
@@ -313,7 +313,7 @@ def project_psd(z, order: int) -> np.ndarray:
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
-        raise EigenFailure(str(exc)) from exc
+        raise NonconvergedProjection(str(exc)) from exc
     cut = _PSD_CLAMP_RTOL * float(np.max(np.abs(vals))) if vals.size else 0.0
     vals = np.where(vals < cut, 0.0, vals)
     out = (vecs * vals) @ vecs.T

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidKernel, NonconvergedProjection
+from .errors import InvalidSpec, NonconvergedProjection
 from .geometry import ProblemPair, as_point, project
 
 # Strictness is a cosine test, ip < -tol * ||dx|| ||dy||: the inner product
@@ -35,15 +35,15 @@ class KernelSpec(str):
     def __new__(cls, word: str) -> "KernelSpec":
         word = str(word).upper()
         if len(word) < 1:
-            raise InvalidKernel("kernel needs at least one token")
+            raise InvalidSpec("kernel needs at least one token")
         for tok in word:
             if tok not in "XY":
-                raise InvalidKernel(f"unknown kernel token {tok!r}")
+                raise InvalidSpec(f"unknown kernel token {tok!r}")
         if word[-1] != "Y":
-            raise InvalidKernel("outermost kernel token must be Y")
+            raise InvalidSpec("outermost kernel token must be Y")
         for a, b in zip(word, word[1:]):
             if a == b:
-                raise InvalidKernel("adjacent identical tokens are redundant")
+                raise InvalidSpec("adjacent identical tokens are redundant")
         return super().__new__(cls, word)
 
     @classmethod

@@ -159,7 +159,9 @@ read_str = _typed("string", str, str)
 read_object = _typed("object", dict, dict)
 
 
-_ENDS = {"inf": math.inf, "pi/2": math.pi / 2, "2**128": 2**128}
+# an array of 2**60 float64 entries, or of 2**30 x 2**30, is more than numpy
+# can address: it rejects one before allocating anything
+_ENDS = {"inf": math.inf, "pi/2": math.pi / 2, "2**128": 2**128, "2**60": 2**60, "2**30": 2**30}
 
 
 def within(read, interval: str):
@@ -252,7 +254,7 @@ GENERATORS = {
     "matrix_completion": (
         _matrix_completion,
         (
-            ("n", within(read_int, "[1, inf)")),
+            ("n", within(read_int, "[1, 2**30)")),  # n x n arrays
             ("rank", within(read_int, "[1, inf)")),  # and below n, see _read_generator
             ("obs_frac", within(read_number, "(0, 1]")),
         ),
@@ -260,14 +262,14 @@ GENERATORS = {
     "ellipsoids": (
         _ellipsoids,
         (
-            ("n", within(read_int, "[1, inf)")),
+            ("n", within(read_int, "[1, 2**60)")),
             ("cond", within(read_number, "[1, inf)")),
             ("tangency_gap", within(read_number, "[0, 1)"), 1e-3),
         ),
     ),
     "halfspace_wedge": (
         _halfspace_wedge,
-        (("n", within(read_int, "[2, inf)")), ("theta", within(read_number, "(0, pi/2)"))),
+        (("n", within(read_int, "[2, 2**60)")), ("theta", within(read_number, "(0, pi/2)"))),
     ),
 }
 
@@ -481,6 +483,15 @@ def _read_method(doc):
 
 _method = reader(fields_schema(_METHOD_FIELDS), _read_method)
 
+
+def _read_path(value):
+    if not read_str(value):
+        raise ValueError("expected a path, got an empty string")
+    return value
+
+
+_path = reader({**read_str.schema, "minLength": 1}, _read_path)
+
 # bench config fields; each method reads as (name, method, kernel, schedule)
 CONFIG_FIELDS = (
     ("generator", _generator_doc),
@@ -488,6 +499,6 @@ CONFIG_FIELDS = (
     ("seeds", read_list(read_seed)),
     ("eps", read_number, 1e-8),
     ("max_iter", read_int, SolverConfig.max_iter),
-    ("output_dir", read_str, "bench_out"),
+    ("output_dir", _path, "bench_out"),
 )
 CONFIG_SCHEMA = fields_schema(CONFIG_FIELDS)

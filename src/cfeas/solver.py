@@ -9,13 +9,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import (
-    EigenFailure,
-    InsufficientTrace,
-    InvalidSchedule,
-    InvalidSpec,
-    NonconvergedProjection,
-)
+from .errors import InvalidSpec, NonconvergedProjection
 from .geometry import (
     ProblemPair,
     as_point,
@@ -43,7 +37,7 @@ class Constant:
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 < self.alpha < 1.0:
-            raise InvalidSchedule(f"constant alpha must lie in (0,1), got {self.alpha}")
+            raise InvalidSpec(f"constant alpha must lie in (0,1), got {self.alpha}")
 
     def __call__(self, k: int) -> float:
         return self.alpha
@@ -65,10 +59,10 @@ class Table:
         values = tuple(float(v) for v in self.values)
         object.__setattr__(self, "values", values)
         if not values:
-            raise InvalidSchedule("table schedule needs at least one value")
+            raise InvalidSpec("table schedule needs at least one value")
         for v in values:
             if not 0.0 < v < 1.0:
-                raise InvalidSchedule(f"table value {v} outside (0,1)")
+                raise InvalidSpec(f"table value {v} outside (0,1)")
 
     def __call__(self, k: int) -> float:
         return self.values[min(k, len(self.values) - 1)]
@@ -101,7 +95,7 @@ class SolverConfig:
         self.kernel = KERNEL_STANDARD if self.kernel is None else KernelSpec(self.kernel)
         self.schedule = Constant() if self.schedule is None else self.schedule
         if not isinstance(self.schedule, (Constant, Vanishing, Table)):
-            raise InvalidSchedule(f"not a step schedule: {self.schedule!r}")
+            raise InvalidSpec(f"not a step schedule: {self.schedule!r}")
 
 
 @dataclass(slots=True)
@@ -147,10 +141,6 @@ class SolveTrace:
         return self.records[-1].cum_proj_alg if self.records else 0
 
 
-# a projection or step that cannot be completed ends the run as numerical_failure
-_FAILURES = (NonconvergedProjection, EigenFailure)
-
-
 def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
     """Iterate until the feasibility gap drops to eps or the cap is reached.
 
@@ -193,7 +183,7 @@ def solve(pair: ProblemPair, cfg: SolverConfig) -> SolveTrace:
             elif k:
                 z = pair.X._project(py)
             delta, px, py = stopping_gap(pair, z, px=z if k and not crm else None)
-        except _FAILURES as exc:
+        except NonconvergedProjection as exc:
             status = STATUS_NUMERICAL_FAILURE
             failure = f"iteration {k - 1}: {exc}" if k else f"initial point: {exc}"
             break
@@ -227,17 +217,17 @@ def estimate_rate(merits) -> RateEstimate:
     100 * machine epsilon * scale.  A burn-in of max(10, 10% of the sequence)
     is discarded (the theoretical rates are asymptotic), but never so much
     that fewer than five ratios remain for the superlinear window.  Linear
-    needs rho < 1: a flat or growing sequence is inconclusive.
+    needs rho < 1: a flat or growing sequence is inconclusive.  So is one of
+    fewer than 10 merits, and one with fewer than 6 above the noise floor,
+    which leaves fewer than the 5 ratios either class needs.  A merit array
+    that is not 1-D raises InvalidSpec.
     """
     m = np.asarray(merits, dtype=float)
-    if m.ndim != 1 or m.shape[0] < 10:
-        raise InsufficientTrace("need a merit sequence of at least 10 entries")
-    scale = max(1.0, float(m[0]))
-    floor = 100.0 * np.finfo(float).eps * scale
-    valid = m > floor
-    n_valid = int(np.count_nonzero(valid))
-    if n_valid < 6:
-        raise InsufficientTrace("too few merit values above the noise floor")
+    if m.ndim != 1:
+        raise InvalidSpec(f"need a 1-D merit sequence, got shape {m.shape}")
+    if m.shape[0] < 10:
+        return RateEstimate(CLASS_INCONCLUSIVE)
+    valid = m > 100.0 * np.finfo(float).eps * max(1.0, float(m[0]))
     burn = max(10, int(math.ceil(0.1 * m.shape[0])))
     idx = [k for k in range(m.shape[0] - 1) if valid[k] and valid[k + 1]]
     if len(idx) - 5 < burn:

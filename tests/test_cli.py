@@ -12,7 +12,7 @@ import pytest
 import cfeas.bench
 import cfeas.cli
 from cfeas.cli import EXIT_OK, EXIT_RUN_FAILURE, EXIT_USAGE, build_parser, main
-from cfeas.errors import EigenFailure
+from cfeas.errors import NonconvergedProjection
 from cfeas.oracles import SUITES
 from cfeas.problems import GENERATORS, generate, pair_to_json
 
@@ -543,11 +543,22 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
          ["--seed-range", "too large"]),
         (["oracle-check", "invariants", "--seed-range", f"0..{10**29}"],
          ["--seed-range", "too large"]),
-        # an n that numpy rejects before it allocates
+        # an n whose arrays numpy cannot address
         (["gen", "--family", "ellipsoids", "--n", str(10**20), "--cond", "2", "--out", "i.json"],
-         ["ellipsoids generator", "Maximum allowed dimension exceeded"]),
+         ["ellipsoids generator", "'n'", "[1, 2**60)"]),
         (["solve", "--family", "halfspace_wedge", "--n", str(10**20), "--theta", "0.5"],
-         ["halfspace_wedge generator", "Maximum allowed dimension exceeded"]),
+         ["halfspace_wedge generator", "'n'", "[2, 2**60)"]),
+        (["bench", "--config", "huge_n.json"], ["'generator'", "'n'", "[1, 2**60)"]),
+        # an empty value is no default
+        (["bench", "--config", "cfg.json", "--seed-range", ""], ["--seed-range", "''"]),
+        (["bench", "--config", "cfg.json", "--out", ""], ["'output_dir'", "empty"]),
+        (["bench", "--config", "empty_out.json"], ["'output_dir'", "empty"]),
+        (_SOLVE + ["--schedule", "constant:"], ["--schedule", "'constant:'", "no value"]),
+        (_SOLVE + ["--schedule", "vanishing:"], ["--schedule", "'vanishing:'", "no value"]),
+        (_SOLVE + ["--schedule", ""], ["--schedule", "''", "unknown kind"]),
+        (_SOLVE + ["--instance", ""], ["--instance", "--family"]),
+        (["solve", "--instance", ""], ["instance", "No such file"]),
+        (_SOLVE + ["--trace-out", ""], ["No such file"]),
     ],
     ids=[
         "empty_table",
@@ -582,15 +593,30 @@ _WEDGE = ["--family", "halfspace_wedge", "--n", "4", "--theta", "1.0"]
         "oracle_seed_range_too_long",
         "gen_n_beyond_numpy",
         "solve_n_beyond_numpy",
+        "bench_n_beyond_numpy",
+        "bench_empty_seed_range",
+        "bench_empty_out",
+        "bench_empty_output_dir",
+        "empty_constant_alpha",
+        "empty_vanishing_value",
+        "empty_schedule",
+        "empty_instance_with_family",
+        "empty_instance",
+        "empty_trace_out",
     ],
 )
 def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, words):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "binary.json").write_bytes(b"\xff\xfe{}")
-    (tmp_path / "cfg.json").write_text(
-        json.dumps({"generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
-                    "methods": [{"name": "crm"}], "seeds": [0]})
-    )
+    config = {"generator": {"family": "halfspace_wedge", "n": 4, "theta": 0.5},
+              "methods": [{"name": "crm"}], "seeds": [0]}
+    configs = {
+        "cfg.json": config,
+        "empty_out.json": {**config, "output_dir": ""},
+        "huge_n.json": {**config, "generator": {"family": "ellipsoids", "n": 10**20, "cond": 2.0}},
+    }
+    for name, doc in configs.items():
+        (tmp_path / name).write_text(json.dumps(doc))
     rc = main(argv)
     err = capsys.readouterr().err
     assert rc == EXIT_USAGE
@@ -598,12 +624,12 @@ def test_bad_flag_or_file_is_one_line_usage_error(tmp_path, monkeypatch, capsys,
     assert err.startswith("usage error:")
     for word in words:
         assert word in err
-    assert sorted(os.listdir(tmp_path)) == ["binary.json", "cfg.json"]  # none written
+    assert sorted(os.listdir(tmp_path)) == sorted(["binary.json", *configs])  # none written
 
 
 def test_library_error_is_one_line_error_and_exit_1(monkeypatch, capsys):
     def failing(pair, cfg):
-        raise EigenFailure("eigh did not converge")
+        raise NonconvergedProjection("eigh did not converge")
 
     monkeypatch.setattr(cfeas.cli, "solve", failing)
     assert main(_SOLVE) == EXIT_RUN_FAILURE

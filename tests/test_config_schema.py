@@ -3,9 +3,9 @@ loader `ExperimentConfig.from_json` read one format: both come from the field
 tables in `cfeas.problems`, and these tests hold them to the same verdict.
 
 JSON Schema states types, required fields, the known families, kinds and
-methods, and the seed and generator parameter ranges.  The range checks it
-does not state are listed by name below; each is a document the schema
-accepts and the loader rejects.
+methods, the seed and generator parameter ranges, and that an output
+directory is not empty.  The range checks it does not state are listed by
+name below; each is a document the schema accepts and the loader rejects.
 """
 import copy
 import json
@@ -100,6 +100,12 @@ AGREED = {
     "n_zero": _generator(n=0),
     "tangency_gap_outside_0_1": _generator(tangency_gap=1.0),
     "theta_outside_0_pi_2": _with(generator={"family": "halfspace_wedge", "n": 4, "theta": 2.0}),
+    # an n whose arrays numpy cannot address
+    "n_beyond_numpy": _generator(n=10**20),
+    "matrix_completion_n_beyond_numpy": _with(
+        generator={"family": "matrix_completion", "n": 2**30, "rank": 2, "obs_frac": 0.5}
+    ),
+    "output_dir_empty": _with(output_dir=""),
 }
 
 # range checks that only the loader makes: the schema accepts these documents

@@ -6,7 +6,7 @@ import zlib
 import numpy as np
 import pytest
 
-from cfeas.errors import DimensionMismatch, EigenFailure, NonconvergedProjection
+from cfeas.errors import DimensionMismatch, NonconvergedProjection
 from cfeas.geometry import (
     Ball,
     Box,
@@ -212,7 +212,7 @@ def test_psd_projection_wraps_eigh_failure(monkeypatch):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    with pytest.raises(EigenFailure, match="did not converge"):
+    with pytest.raises(NonconvergedProjection, match="did not converge"):
         project_psd(np.eye(2).reshape(-1), 2)
 
 

@@ -3,7 +3,8 @@ jsonschema or concurrent.futures, the oracle checks run without scipy, the
 bench loads without the oracles, no module of the package or of the tests
 imports a name it never uses, the package's modules take its error classes
 from `cfeas.errors` alone, and the package raises every one of them but the
-base class.
+base class and names each in an `except` clause: a class no caller catches
+by name is one no caller tells apart from its base.
 
 No code of the package or of its tests uses scipy; the `test` extra keeps it
 for the benchmark harness, which records its version.  jsonschema only
@@ -119,3 +120,13 @@ def test_the_package_raises_every_error_class():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert sorted(_error_classes() - raised) == ["CfeasError"]
+
+
+def test_the_package_catches_every_error_class_by_name():
+    caught = set()
+    for _, tree in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught.update(t.id for t in types if isinstance(t, ast.Name))
+    assert sorted(_error_classes() - caught) == []

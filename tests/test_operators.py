@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from cfeas.errors import InvalidKernel
+from cfeas.errors import InvalidSpec
 from cfeas.geometry import Ball, Halfspace, ProblemPair, distance, project
 from cfeas.operators import (
     KERNEL_STANDARD,
@@ -39,13 +39,13 @@ def test_kernel_spec_parsing_and_str():
 
 
 def test_kernel_spec_rejects_bad_token_sequences():
-    with pytest.raises(InvalidKernel, match="outermost"):
+    with pytest.raises(InvalidSpec, match="outermost"):
         KernelSpec("X")
-    with pytest.raises(InvalidKernel, match="at least one token"):
+    with pytest.raises(InvalidSpec, match="at least one token"):
         KernelSpec("")
-    with pytest.raises(InvalidKernel, match="adjacent"):
+    with pytest.raises(InvalidSpec, match="adjacent"):
         KernelSpec("YY")
-    with pytest.raises(InvalidKernel, match="kernel token 'Z'"):
+    with pytest.raises(InvalidSpec, match="kernel token 'Z'"):
         KernelSpec("ZY")
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cfeas.errors import InvalidSpec
 from cfeas.geometry import Ellipsoid, EntryMask, PsdCone, distance, stopping_gap
 from cfeas.problems import (
+    GENERATORS,
     generate,
     make_rng,
     pair_from_json,
@@ -282,7 +283,7 @@ def test_wedge_invalid_theta():
 
 
 def test_wedge_needs_dimension_two():
-    with pytest.raises(InvalidSpec, match=r"'n': must lie in \[2, inf\)"):
+    with pytest.raises(InvalidSpec, match=r"'n': must lie in \[2, 2\*\*60\)"):
         generate("halfspace_wedge", 0, n=1, theta=0.5)
 
 
@@ -323,10 +324,26 @@ def test_generate_dispatch_and_unknown_family():
     ],
 )
 def test_generate_maps_an_n_numpy_cannot_build_to_invalid_spec(family, params):
-    # numpy rejects a dimension of 10**20 before it allocates anything
-    with pytest.raises(InvalidSpec, match=f"^{family} generator: cannot build .*"
-                       "Maximum allowed dimension exceeded"):
+    # the reader of n rejects a dimension numpy cannot address
+    interval = {"matrix_completion": "[1, 2**30)", "ellipsoids": "[1, 2**60)",
+                "halfspace_wedge": "[2, 2**60)"}[family]
+    with pytest.raises(InvalidSpec) as raised:
         generate(family, 0, n=10**20, **params)
+    assert str(raised.value) == (
+        f"{family} generator field 'n': must lie in {interval}, got {10**20}"
+    )
+
+
+def test_generate_maps_a_builder_out_of_memory_to_invalid_spec(monkeypatch):
+    # an n in range can still need more memory than there is
+    def build(n, cond, tangency_gap, rng):
+        raise MemoryError(f"Unable to allocate {8 * n} bytes")
+
+    monkeypatch.setitem(GENERATORS, "ellipsoids", (build, GENERATORS["ellipsoids"][1]))
+    params = r"\{'n': 12, 'cond': 2\.0, 'tangency_gap': 0\.001\}"
+    with pytest.raises(InvalidSpec, match=f"^ellipsoids generator: cannot build {params}: "
+                       "Unable to allocate 96 bytes$"):
+        generate("ellipsoids", 0, n=12, cond=2.0)
 
 
 def test_json_roundtrip_all_families(tmp_path):
